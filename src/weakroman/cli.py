@@ -23,15 +23,14 @@ import sys
 
 from .generators import FAMILIES, FamilySpec, generate, random_connected
 from .graph import EdgeListFormatError, Graph, GraphError, UndefinedInvariantError, format_edge_list, parse_edge_list
-from .graph import is_2packing, is_dominating, is_double_total_dominating, is_secure_dominating, is_total_dominating
 from .products import corona, lexicographic
 from .solvers import (
+    FUNCTION_INVARIANTS,
     INVARIANTS,
+    PREDICATES,
     BudgetExceededError,
     LegionFunction,
     SolverConfig,
-    is_rdf,
-    is_wrdf,
     oracle,
     solve,
 )
@@ -212,24 +211,16 @@ def _cmd_verify_cert(args, stdout, stdin) -> int:
     cert = payload.get("certificate", {})
     if invariant not in INVARIANTS:
         raise GraphError(f"certificate carries unknown invariant {invariant!r}")
-    if invariant in ("gamma_r", "gamma_R"):
-        f = LegionFunction.from_sets(g.n, cert.get("V1", ()), cert.get("V2", ()))
-        predicate_ok = (is_wrdf if invariant == "gamma_r" else is_rdf)(g, f)
-        value_ok = f.weight == value
+    if invariant in FUNCTION_INVARIANTS:
+        subject = LegionFunction.from_sets(g.n, cert.get("V1", ()), cert.get("V2", ()))
+        value_ok = subject.weight == value
     else:
         members = cert.get("set", ())
-        mask = 0
+        subject = 0
         for v in members:
-            mask |= 1 << int(v)
-        predicate = {
-            "gamma": is_dominating,
-            "gamma_t": is_total_dominating,
-            "gamma_2t": is_double_total_dominating,
-            "gamma_s": is_secure_dominating,
-            "rho": is_2packing,
-        }[invariant]
-        predicate_ok = predicate(g, mask)
-        value_ok = len(list(cert.get("set", ()))) == value
+            subject |= 1 << int(v)
+        value_ok = len(list(members)) == value
+    predicate_ok = PREDICATES[invariant](g, subject)
     ok = predicate_ok and value_ok
     stdout.write(
         f"certificate {'VALID' if ok else 'INVALID'}: predicate={str(predicate_ok).lower()} "
@@ -261,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute an invariant exactly, with certificate")
     p.add_argument("invariant", choices=INVARIANTS)
     p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
-    p.add_argument("--shards", type=int, default=1)
+    p.add_argument("--shards", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--budget", type=int, default=None, help="search node budget")
     p.add_argument("--max-weight", dest="max_weight", type=int, default=None)
     p.add_argument("--json", action="store_true")
@@ -295,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad", help="comma-separated induced 4-path")
     p.add_argument("--sweep", help="range over one integer key, e.g. n=4..14")
     p.add_argument("--strict", action="store_true", help="exit 4 on any violation")
-    p.add_argument("--shards", type=int, default=1)
+    p.add_argument("--shards", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError, VertexSet
+from .graph import Graph, GraphError, VertexSet, _bits
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def lexicographic(g: Graph, h: Graph) -> ProductGraph:
     m = 0
     for u in range(g.n):
         outer = 0
-        for x in _mask_bits(g.adj[u]):
+        for x in _bits(g.adj[u]):
             outer |= copies[x]
         for v in range(nh):
             row = outer | (h.adj[v] << (u * nh))
@@ -116,13 +116,6 @@ def corona(g1: Graph, g2: Graph) -> ProductGraph:
     return ProductGraph(Graph.from_edges(n, edges), "corona", g1, g2, copies)
 
 
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def copy_weight(p: ProductGraph, f, u: int) -> int:
     """Total legion weight the function places on the copy of factor vertex u."""
     if not 0 <= u < p.n_g:
@@ -136,6 +129,6 @@ def closed_copy_weight(p: ProductGraph, f, u: int) -> int:
     if not 0 <= u < p.n_g:
         raise GraphError(f"factor vertex {u} out of range")
     total = 0
-    for x in _mask_bits(p.g_factor.closed[u]):
+    for x in _bits(p.g_factor.closed[u]):
         total += copy_weight(p, f, x)
     return total

@@ -18,8 +18,9 @@ weight in its neighbouring copies must dominate its own copy internally.
 
 All searches enumerate candidates in one fixed global order - the
 lexicographic order of (sorted V2, sorted V1) index sequences (or of the
-sorted set, for set invariants) - so the first feasible candidate is the
-canonical certificate and results are identical for any shard count.
+sorted set, for set invariants) - and run one after another, so the first
+feasible candidate is the canonical certificate and value, certificate,
+node count and budget verdict do not depend on anything but the input.
 
 The :func:`oracle` function recomputes every invariant by an exhaustive
 scan (2^n subsets or 3^n functions) using only the raw definitional
@@ -31,8 +32,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import (
     Graph,
@@ -47,7 +47,7 @@ from .graph import (
     is_secure_dominating,
     is_total_dominating,
 )
-from .products import ProductGraph, lexicographic
+from .products import ProductGraph
 
 INVARIANTS = ("gamma", "gamma_t", "gamma_2t", "rho", "gamma_R", "gamma_r", "gamma_s")
 SET_INVARIANTS = ("gamma", "gamma_t", "gamma_2t", "rho", "gamma_s")
@@ -201,6 +201,21 @@ def is_rdf(g: Graph, f: LegionFunction) -> bool:
     return zero & ~cover2 == 0
 
 
+# The raw definitional predicate of each invariant: the set invariants take a
+# vertex set or bitmask, the function invariants a LegionFunction.  The bench
+# span recorder patches module attributes, not the values of this dict, so
+# calls made through it (the oracle, ``verify-cert``) are not traced.
+PREDICATES = {
+    "gamma": is_dominating,
+    "gamma_t": is_total_dominating,
+    "gamma_2t": is_double_total_dominating,
+    "rho": is_2packing,
+    "gamma_R": is_rdf,
+    "gamma_r": is_wrdf,
+    "gamma_s": is_secure_dominating,
+}
+
+
 def satisfies_property_p(h: Graph, a: int) -> bool:
     """True iff the subgraph induced by V(H) minus N[a] is a clique (the
     empty set counts)."""
@@ -221,17 +236,17 @@ def satisfies_property_p(h: Graph, a: int) -> bool:
 class SolverConfig:
     """Search limits and strategy flags.
 
-    ``bounds`` selects which lower-bound/pruning families apply: ``"chain"``
-    enables the domination-chain start point, ``"product"`` enables the
-    product-structure bound and the per-copy weight pruning.  Dropping
-    ``"product"`` forces the structure-blind search (used when the claims
-    that justify those prunes are themselves under test).
+    ``shards`` is accepted and validated but has no effect: the search always
+    runs its tasks one after another.  ``product_pruning`` enables the
+    product-structure bound and the per-copy weight pruning on lexicographic
+    products; switching it off forces the structure-blind search (used when
+    the claims that justify those prunes are themselves under test).
     """
 
     shards: int = 1
     node_budget: int | None = None
     max_weight: int | None = None
-    bounds: frozenset = frozenset({"chain", "product"})
+    product_pruning: bool = True
 
     def __post_init__(self):
         if self.shards < 1:
@@ -290,8 +305,9 @@ class _Counter:
             raise BudgetExceededError(self.invariant, self.lower, None)
 
 
-def _min_set_exists(g: Graph, k: int, kind: str, counter: _Counter) -> int | None:
-    """Lexicographically first feasible set of size exactly k, or None.
+def _min_sets(g: Graph, k: int, kind: str, counter: _Counter, first_only: bool) -> list[int]:
+    """Feasible sets of size exactly k, ascending lexicographic; with
+    ``first_only`` the search stops at the first one.
 
     ``kind`` selects the coverage notion: closed neighbourhoods for
     ``gamma``/``gamma_s`` (plus the swap test for the latter), open for
@@ -300,94 +316,47 @@ def _min_set_exists(g: Graph, k: int, kind: str, counter: _Counter) -> int | Non
     n = g.n
     full = (1 << n) - 1
     coverers = g.closed if kind in ("gamma", "gamma_s") else g.adj
-    # threshold[v] = last index that can still cover v
-    order = sorted(range(n), key=lambda v: coverers[v].bit_length() - 1 if coverers[v] else -1)
-    thresholds = [coverers[v].bit_length() - 1 for v in order]
-    double = kind == "gamma_2t"
-    secure = kind == "gamma_s"
-
-    def final_ok(mask: int, once: int, twice: int) -> bool:
-        if double:
-            return twice == full
-        if once != full:
-            return False
-        if secure:
-            return _secure_swaps_ok(g, mask)
-        return True
-
-    result = None
-
-    def rec(start: int, mask: int, once: int, twice: int, slots: int, cp: int):
-        nonlocal result
-        if result is not None:
-            return
-        counter.tick()
-        if slots == 0:
-            if final_ok(mask, once, twice):
-                result = mask
-            return
-        e = start
-        while e <= n - slots:
-            cover = coverers[e]
-            m2 = mask | (1 << e)
-            o2 = once | cover
-            t2 = twice | (once & cover)
-            # advance fully decided vertices; a vertex none of whose
-            # coverers can still be chosen is dead
-            cp2 = cp
-            ok = True
-            while cp2 < n and thresholds[cp2] <= e:
-                v = order[cp2]
-                need = t2 if double else o2
-                if not need >> v & 1:
-                    ok = False
-                    break
-                cp2 += 1
-            if ok:
-                rec(e + 1, m2, o2, t2, slots - 1, cp2)
-                if result is not None:
-                    return
-            e += 1
-
-    rec(0, 0, 0, 0, k, 0)
-    return result
-
-
-def _min_set_all(g: Graph, k: int, kind: str, counter: _Counter) -> list[int]:
-    """Every feasible set of size exactly k, ascending lexicographic."""
-    n = g.n
-    full = (1 << n) - 1
-    coverers = g.closed if kind in ("gamma", "gamma_s") else g.adj
+    # thresholds[i] = last index that can still cover order[i]
     order = sorted(range(n), key=lambda v: coverers[v].bit_length() - 1)
     thresholds = [coverers[v].bit_length() - 1 for v in order]
     double = kind == "gamma_2t"
     secure = kind == "gamma_s"
     out: list[int] = []
 
-    def rec(start: int, mask: int, once: int, twice: int, slots: int, cp: int):
+    def rec(start: int, mask: int, once: int, twice: int, slots: int, cp: int) -> bool:
+        """Extend the partial set; True means stop the whole search."""
         counter.tick()
         if slots == 0:
             goal = twice if double else once
             if goal == full and (not secure or _secure_swaps_ok(g, mask)):
                 out.append(mask)
-            return
+                return first_only
+            return False
         for e in range(start, n - slots + 1):
             cover = coverers[e]
             o2 = once | cover
             t2 = twice | (once & cover)
+            need = t2 if double else o2
+            # advance fully decided vertices; a vertex none of whose
+            # coverers can still be chosen is dead
             cp2 = cp
-            dead = False
-            while cp2 < n and thresholds[cp2] <= e:
-                v = order[cp2]
-                need = t2 if double else o2
-                if not need >> v & 1:
-                    dead = True
-                    break
+            while cp2 < n and thresholds[cp2] <= e and need >> order[cp2] & 1:
                 cp2 += 1
-            if not dead:
-                rec(e + 1, mask | (1 << e), o2, t2, slots - 1, cp2)
+            if cp2 < n and thresholds[cp2] <= e:
+                continue
+            if rec(e + 1, mask | (1 << e), o2, t2, slots - 1, cp2):
+                return True
+        return False
 
     rec(0, 0, 0, 0, k, 0)
+    return out
+
+
+def _lift(mask: int, verts) -> int:
+    """Map a bitmask over a piece's local indices onto the flat indices ``verts``."""
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << verts[i]
     return out
 
 
@@ -398,21 +367,10 @@ def minimum_dominating_sets(g: Graph, config: SolverConfig | None = None) -> lis
         raise UndefinedInvariantError("invariants undefined on the graph with no vertices")
     counter = _Counter(cfg.node_budget, "gamma")
     per_comp = []
-    comps = g.components()
-    for comp in comps:
-        verts = sorted(comp)
-        sub = g.induced(comp) if len(comps) > 1 else g
+    for verts, sub, _, _ in _pieces(g, lex=False):
         k, _ = _solve_min_set(sub, "gamma", counter)
-        masks = _min_set_all(sub, k, "gamma", counter)
-        per_comp.append([
-            sum(1 << verts[i] for i in _bits(m)) for m in masks
-        ])
-    out = []
-    for chosen in itertools.product(*per_comp):
-        mask = 0
-        for m in chosen:
-            mask |= m
-        out.append(mask)
+        per_comp.append([_lift(m, verts) for m in _min_sets(sub, k, "gamma", counter, False)])
+    out = [sum(chosen) for chosen in itertools.product(*per_comp)]
     out.sort(key=lambda m: tuple(_bits(m)))
     return [VertexSet(g.n, m) for m in out]
 
@@ -454,9 +412,9 @@ def _solve_min_set(g: Graph, invariant: str, counter: _Counter) -> tuple[int, in
         lo = 1
     for k in range(max(1, lo), n + 1):
         counter.lower = k
-        mask = _min_set_exists(g, k, invariant, counter)
-        if mask is not None:
-            return k, mask
+        found = _min_sets(g, k, invariant, counter, True)
+        if found:
+            return k, found[0]
     raise GraphError(f"no feasible set for {invariant} up to size n")  # unreachable for valid inputs
 
 
@@ -570,10 +528,13 @@ class _LexContext:
     h_closed: tuple[int, ...]     # closed neighbourhoods inside H
     h_full: int
     h_prop_p: tuple[bool, ...]    # H-vertices whose closed-neighbourhood complement is a clique
-    prune_closure: bool           # per-copy closed weight >= 2 (optimal functions)
 
 
-def _make_lex_context(factor: Graph, h: Graph) -> _LexContext:
+def _product_ctx(factor: Graph | None, h: Graph | None, cfg: SolverConfig) -> _LexContext | None:
+    """Lex-product tables for a connected piece, or None when the
+    structure-blind search applies (no factors, pruning off, or complete H)."""
+    if factor is None or h is None or not cfg.product_pruning or h.is_complete():
+        return None
     nh = h.n
     return _LexContext(
         n_g=factor.n,
@@ -585,7 +546,6 @@ def _make_lex_context(factor: Graph, h: Graph) -> _LexContext:
         h_closed=h.closed,
         h_full=(1 << nh) - 1,
         h_prop_p=tuple(satisfies_property_p(h, a) for a in range(nh)),
-        prune_closure=True,
     )
 
 
@@ -623,8 +583,7 @@ class _WrdfSearch:
         if ctx is not None:
             for x in range(ctx.n_g):
                 thr = ctx.copy_end[x]
-                if ctx.prune_closure:
-                    cps.append((thr, _CP_CLOSURE, _CP_CLOSURE, x))
+                cps.append((thr, _CP_CLOSURE, _CP_CLOSURE, x))
                 cps.append((thr, _CP_OUTER, _CP_OUTER, x))
         cps.sort()
         self.cps = tuple((thr, kind, payload) for thr, _, kind, payload in cps)
@@ -664,27 +623,26 @@ class _WrdfSearch:
             closed_copy_mask = ctx.closed_copy_mask
             w = [0] * n_g
 
-            if ctx.prune_closure:
-                def lookahead(e: int, rem: int) -> bool:
-                    # greedy disjoint lower bound on the weight that still has
-                    # to land in not-yet-decided closed copy neighbourhoods
-                    need = 0
-                    used = 0
-                    for x in range(n_g):
-                        if copy_end[x] <= e:
-                            continue
-                        cm = closed_copy_mask[x]
-                        if cm & used:
-                            continue
-                        total = w[x]
-                        for y in nbr_copies[x]:
-                            total += w[y]
-                        if total < 2:
-                            need += 2 - total
-                            if need > rem:
-                                return False
-                            used |= cm
-                    return True
+            def lookahead(e: int, rem: int) -> bool:
+                # greedy disjoint lower bound on the weight that still has
+                # to land in not-yet-decided closed copy neighbourhoods
+                need = 0
+                used = 0
+                for x in range(n_g):
+                    if copy_end[x] <= e:
+                        continue
+                    cm = closed_copy_mask[x]
+                    if cm & used:
+                        continue
+                    total = w[x]
+                    for y in nbr_copies[x]:
+                        total += w[y]
+                    if total < 2:
+                        need += 2 - total
+                        if need > rem:
+                            return False
+                        used |= cm
+                return True
         out: list[tuple[int, int]] = []
 
         def final_check(m2: int, m1: int, cov1: int, cov2: int) -> bool:
@@ -895,43 +853,13 @@ class _WrdfSearch:
         return out
 
 
-def _wrdf_first_at_weight(g, t, ctx, cfg, counter) -> tuple[int, int] | None:
-    """Canonically smallest WRDF (m2, m1) of weight exactly t, or None."""
-    search = _WrdfSearch(g, t, ctx)
-    tasks = search.tasks()
-    if cfg.shards <= 1:
-        for task in tasks:
-            res = search.run_task(task, True, counter)
-            if res:
-                return res[0]
-        return None
-    lanes = [tasks[s::cfg.shards] for s in range(cfg.shards)]
-
-    def run_lane(lane):
-        local = _Counter(cfg.node_budget, counter.invariant)
-        local.lower = counter.lower
-        for task in lane:
-            res = search.run_task(task, True, local)
-            if res:
-                return res[0], local.nodes
-        return None, local.nodes
-
-    best = None
-    with ThreadPoolExecutor(max_workers=cfg.shards) as pool:
-        for found, nodes in pool.map(run_lane, lanes):
-            counter.nodes += nodes
-            if found is not None:
-                key = (tuple(_bits(found[0])), tuple(_bits(found[1])))
-                if best is None or key < best[0]:
-                    best = (key, found)
-    return best[1] if best else None
-
-
-def _wrdf_all_at_weight(g, t, ctx, cfg, counter):
-    """All WRDFs of weight exactly t, in canonical order."""
+def _wrdfs_at_weight(g, t, ctx, counter, first_only: bool):
+    """WRDFs (m2, m1) of weight exactly t, in canonical order.  With
+    ``first_only`` each task stops at its first hit, so the first item is
+    the canonically smallest one; take it with ``next(..., None)``."""
     search = _WrdfSearch(g, t, ctx)
     for task in search.tasks():
-        yield from search.run_task(task, False, counter)
+        yield from search.run_task(task, first_only, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -939,50 +867,49 @@ def _wrdf_all_at_weight(g, t, ctx, cfg, counter):
 # ---------------------------------------------------------------------------
 
 
-def _component_products(p: ProductGraph) -> list[tuple[list[int], Graph, Graph | None]]:
-    """Split a lexicographic product along factor components.
+def _pieces(g: Graph | ProductGraph, lex: bool) -> list[tuple[list[int], Graph, Graph | None, Graph | None]]:
+    """The connected pieces solved separately, as (sorted flat vertices,
+    piece graph, factor component, H).
 
-    Returns (sorted flat vertices, flat component graph, factor component
-    or None when the component is a single copy of H).
+    With ``lex`` a lexicographic product splits along the components of its
+    first factor and keeps both factors of each piece; the factor component
+    is None when the piece is a single copy of H.  Otherwise the pieces are
+    the flat components and carry no factors.
     """
-    out = []
-    for comp in p.g_factor.components():
-        g_verts = sorted(comp)
-        flat_mask = 0
-        for u in g_verts:
-            flat_mask |= p.copies[u]
-        flat_verts = sorted(VertexSet(p.graph.n, flat_mask))
-        sub_factor = p.g_factor.induced(comp) if len(g_verts) > 1 else None
-        out.append((flat_verts, p.graph.induced(VertexSet(p.graph.n, flat_mask)), sub_factor))
-    return out
+    if lex and isinstance(g, ProductGraph) and g.kind == "lexicographic":
+        out = []
+        for comp in g.g_factor.components():
+            flat_mask = 0
+            for u in comp:
+                flat_mask |= g.copies[u]
+            factor = g.g_factor.induced(comp) if len(comp) > 1 else None
+            sub = g.graph.induced(VertexSet(g.graph.n, flat_mask))
+            out.append((list(_bits(flat_mask)), sub, factor, g.h_factor if factor is not None else None))
+        return out
+    flat = g.graph if isinstance(g, ProductGraph) else g
+    comps = flat.components()
+    return [(sorted(c), flat.induced(c) if len(comps) > 1 else flat, None, None) for c in comps]
 
 
-def _gamma_r_connected(g: Graph, factor: Graph | None, h: Graph | None, cfg, counter) -> tuple[int, int, int]:
-    """(value, m2, m1) for a connected graph; ``factor``/``h`` carry the
-    lexicographic structure when there is one."""
-    use_product = (
-        factor is not None
-        and h is not None
-        and "product" in cfg.bounds
-        and not h.is_complete()
-    )
-    if use_product:
+def _gamma_r_connected(g: Graph, factor: Graph | None, ctx: _LexContext | None, cfg, counter) -> tuple[int, int, int]:
+    """(value, m2, m1) for a connected graph; ``ctx`` carries the
+    lexicographic structure when there is one and ``factor`` is then the
+    first factor."""
+    if ctx is not None:
         gr, _, _ = _gamma_r_connected(factor, None, None, cfg, counter)
         gt, _ = _solve_min_set(factor, "gamma_t", counter)
         rho, _ = _solve_rho(factor, counter)
         lo = max(gr, gt, 2 * rho)
         hi = g.n
-        ctx = _make_lex_context(factor, h)
     else:
         gamma, _ = _solve_min_set(g, "gamma", counter)
         lo = gamma
         hi = 2 * gamma
-        ctx = None
     if cfg.max_weight is not None:
         hi = min(hi, cfg.max_weight)
     for t in range(lo, hi + 1):
         counter.lower = t
-        found = _wrdf_first_at_weight(g, t, ctx, cfg, counter)
+        found = next(_wrdfs_at_weight(g, t, ctx, counter, True), None)
         if found is not None:
             return t, found[0], found[1]
     raise BudgetExceededError("gamma_r", hi + 1, None)
@@ -999,8 +926,7 @@ def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None =
     if invariant not in INVARIANTS:
         raise GraphError(f"unknown invariant {invariant!r} (expected one of {', '.join(INVARIANTS)})")
     cfg = config or SolverConfig()
-    product = g if isinstance(g, ProductGraph) else None
-    flat = product.graph if product is not None else g
+    flat = g.graph if isinstance(g, ProductGraph) else g
     if flat.n == 0:
         raise UndefinedInvariantError("invariants undefined on the graph with no vertices")
     if invariant == "gamma_t" and flat.min_degree() == 0:
@@ -1010,58 +936,33 @@ def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None =
 
     started = time.perf_counter()
     counter = _Counter(cfg.node_budget, invariant)
-
-    pieces: list[tuple[list[int], Graph, Graph | None, Graph | None]]
-    if product is not None and product.kind == "lexicographic" and invariant == "gamma_r":
-        pieces = [
-            (verts, comp, factor, product.h_factor if factor is not None else None)
-            for verts, comp, factor in _component_products(product)
-        ]
-    else:
-        pieces = []
-        for comp in flat.components():
-            verts = sorted(comp)
-            sub = flat.induced(comp) if len(verts) < flat.n else flat
-            pieces.append((verts, sub, None, None))
-
     total = 0
     set_mask = 0
     m1_mask = 0
     m2_mask = 0
-    for verts, sub, factor, h in pieces:
+    for verts, sub, factor, h in _pieces(g, lex=invariant == "gamma_r"):
         if invariant == "gamma_r":
-            val, m2, m1 = _gamma_r_connected(sub, factor, h, cfg, counter)
-            total += val
-            for i in _bits(m1):
-                m1_mask |= 1 << verts[i]
-            for i in _bits(m2):
-                m2_mask |= 1 << verts[i]
+            val, m2, m1 = _gamma_r_connected(sub, factor, _product_ctx(factor, h, cfg), cfg, counter)
         elif invariant == "gamma_R":
             gamma, _ = _solve_min_set(sub, "gamma", counter)
-            found = None
-            for t in range(gamma, 2 * gamma + 1):
-                counter.lower = t
-                found = _rdf_first_at_weight(sub, t, counter)
+            for val in range(gamma, 2 * gamma + 1):
+                counter.lower = val
+                found = _rdf_first_at_weight(sub, val, counter)
                 if found is not None:
-                    total += t
                     break
-            if found is None:  # 2 gamma is always feasible
+            else:  # 2 gamma is always feasible
                 raise BudgetExceededError("gamma_R", gamma, 2 * gamma)
             m2, m1 = found
-            for i in _bits(m1):
-                m1_mask |= 1 << verts[i]
-            for i in _bits(m2):
-                m2_mask |= 1 << verts[i]
         elif invariant == "rho":
             val, mask = _solve_rho(sub, counter)
-            total += val
-            for i in _bits(mask):
-                set_mask |= 1 << verts[i]
         else:
             val, mask = _solve_min_set(sub, invariant, counter)
-            total += val
-            for i in _bits(mask):
-                set_mask |= 1 << verts[i]
+        total += val
+        if invariant in FUNCTION_INVARIANTS:
+            m1_mask |= _lift(m1, verts)
+            m2_mask |= _lift(m2, verts)
+        else:
+            set_mask |= _lift(mask, verts)
 
     if invariant in FUNCTION_INVARIANTS:
         certificate: VertexSet | LegionFunction = LegionFunction(flat.n, m1_mask, m2_mask)
@@ -1075,51 +976,29 @@ def enumerate_optimal_wrdf(g: Graph | ProductGraph, config: SolverConfig | None 
     """Yield every weak Roman dominating function of minimum weight, each
     exactly once, in canonical order."""
     cfg = config or SolverConfig()
-    product = g if isinstance(g, ProductGraph) else None
-    flat = product.graph if product is not None else g
+    flat = g.graph if isinstance(g, ProductGraph) else g
     if flat.n == 0:
         raise UndefinedInvariantError("invariants undefined on the graph with no vertices")
     counter = _Counter(cfg.node_budget, "gamma_r")
 
-    if product is not None and product.kind == "lexicographic":
-        parts = _component_products(product)
-        pieces = [(verts, comp, factor, product.h_factor if factor else None) for verts, comp, factor in parts]
-    else:
-        pieces = [(sorted(c), flat.induced(c) if len(flat.components()) > 1 else flat, None, None) for c in flat.components()]
-
     per_piece = []
-    for verts, sub, factor, h in pieces:
-        val, _, _ = _gamma_r_connected(sub, factor, h, cfg, counter)
-        use_product = factor is not None and h is not None and "product" in cfg.bounds and not h.is_complete()
-        ctx = _make_lex_context(factor, h) if use_product else None
+    for verts, sub, factor, h in _pieces(g, lex=True):
+        ctx = _product_ctx(factor, h, cfg)
+        val, _, _ = _gamma_r_connected(sub, factor, ctx, cfg, counter)
         per_piece.append((verts, sub, ctx, val))
 
     if len(per_piece) == 1:
         verts, sub, ctx, val = per_piece[0]
-        for m2, m1 in _wrdf_all_at_weight(sub, val, ctx, cfg, counter):
-            gm1 = 0
-            gm2 = 0
-            for i in _bits(m1):
-                gm1 |= 1 << verts[i]
-            for i in _bits(m2):
-                gm2 |= 1 << verts[i]
-            yield LegionFunction(flat.n, gm1, gm2)
+        for m2, m1 in _wrdfs_at_weight(sub, val, ctx, counter, False):
+            yield LegionFunction(flat.n, _lift(m1, verts), _lift(m2, verts))
         return
 
     # disconnected: take the cross product of per-component optima and
     # re-sort globally (component additivity makes this exhaustive)
-    lists = []
-    for verts, sub, ctx, val in per_piece:
-        opts = []
-        for m2, m1 in _wrdf_all_at_weight(sub, val, ctx, cfg, counter):
-            gm1 = 0
-            gm2 = 0
-            for i in _bits(m1):
-                gm1 |= 1 << verts[i]
-            for i in _bits(m2):
-                gm2 |= 1 << verts[i]
-            opts.append((gm2, gm1))
-        lists.append(opts)
+    lists = [
+        [(_lift(m2, verts), _lift(m1, verts)) for m2, m1 in _wrdfs_at_weight(sub, val, ctx, counter, False)]
+        for verts, sub, ctx, val in per_piece
+    ]
     combos = []
     for chosen in itertools.product(*lists):
         gm2 = 0
@@ -1159,17 +1038,17 @@ def oracle(invariant: str, g: Graph | ProductGraph) -> int:
     n = flat.n
     if n == 0:
         raise UndefinedInvariantError("invariants undefined on the graph with no vertices")
+    predicate = PREDICATES[invariant]
     if invariant in FUNCTION_INVARIANTS:
         if n > _ORACLE_FUNCTION_LIMIT:
             raise GraphError(f"oracle limit: function invariants need n <= {_ORACLE_FUNCTION_LIMIT}")
-        test = is_rdf if invariant == "gamma_R" else is_wrdf
         best = None
         for values in itertools.product((0, 1, 2), repeat=n):
             weight = sum(values)
             if best is not None and weight >= best:
                 continue
             f = LegionFunction.from_values(values)
-            if test(flat, f):
+            if predicate(flat, f):
                 best = weight
         return best
     if n > _ORACLE_SET_LIMIT:
@@ -1178,13 +1057,6 @@ def oracle(invariant: str, g: Graph | ProductGraph) -> int:
         raise UndefinedInvariantError("total domination undefined: isolated vertex")
     if invariant == "gamma_2t" and flat.min_degree() < 2:
         raise UndefinedInvariantError("double total domination undefined: minimum degree below two")
-    predicate = {
-        "gamma": is_dominating,
-        "gamma_t": is_total_dominating,
-        "gamma_2t": is_double_total_dominating,
-        "gamma_s": is_secure_dominating,
-        "rho": is_2packing,
-    }[invariant]
     best = None
     maximize = invariant == "rho"
     for mask in range(1 << n):

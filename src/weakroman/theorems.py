@@ -21,7 +21,7 @@ the claim under test.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .graph import Graph, GraphError, _bits
@@ -252,11 +252,9 @@ def _val(invariant: str, g, cfg: SolverConfig) -> int:
     return solve(invariant, g, cfg).value
 
 
-_BLIND = frozenset({"chain"})  # disables the product-structure shortcuts
-
-
 def _blind(cfg: SolverConfig) -> SolverConfig:
-    return SolverConfig(cfg.shards, cfg.node_budget, cfg.max_weight, _BLIND)
+    """``cfg`` without the product-structure shortcuts."""
+    return replace(cfg, product_pruning=False)
 
 
 def _is_tree(g: Graph) -> bool:
@@ -294,6 +292,11 @@ def _is_planar(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _verdict(ok: bool, details: dict) -> tuple[str, dict, dict | None]:
+    """A checked claim's result; a violation's witness is a copy of its details."""
+    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+
+
 def _run_chain(inst, cfg):
     g = resolve_graph(inst["g"])
     gamma = _val("gamma", g, cfg)
@@ -305,7 +308,7 @@ def _run_chain(inst, cfg):
         gt = _val("gamma_t", g, cfg)
         details["gamma_t"] = gt
         ok = 2 * gamma <= 2 * gt
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_complete_iff(inst, cfg):
@@ -313,7 +316,7 @@ def _run_complete_iff(inst, cfg):
     gr = _val("gamma_r", g, cfg)
     ok = (gr == 1) == g.is_complete()
     details = {"gamma_r": gr, "complete": g.is_complete()}
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_wrdn2_iff(inst, cfg):
@@ -325,7 +328,7 @@ def _run_wrdn2_iff(inst, cfg):
     gs = _val("gamma_s", g, cfg)
     ok = (gr == 2) == (gamma == 1 or gs == 2)
     details = {"gamma_r": gr, "gamma": gamma, "gamma_s": gs}
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_path_cycle_formula(inst, cfg):
@@ -337,7 +340,7 @@ def _run_path_cycle_formula(inst, cfg):
     got_c = _val("gamma_r", cycle(n), cfg)
     ok = got_p == want == got_c
     details = {"n": n, "expected": want, "path": got_p, "cycle": got_c}
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_hamiltonian_bound(inst, cfg):
@@ -356,7 +359,7 @@ def _run_hamiltonian_bound(inst, cfg):
     gr = _val("gamma_r", g, cfg)
     ok = gr <= bound
     details = {"gamma_r": gr, "bound": bound}
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _product_value(g: Graph, h: Graph, cfg: SolverConfig) -> int:
@@ -371,7 +374,7 @@ def _run_lex_upper_2gt(inst, cfg):
     val = _product_value(g, h, cfg)
     ok = val <= 2 * gt
     details = {"gamma_r_product": val, "gamma_t": gt}
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_lex_upper_maxdeg4(inst, cfg):
@@ -381,7 +384,7 @@ def _run_lex_upper_maxdeg4(inst, cfg):
     val = _product_value(g, h, cfg)
     details = {"gamma_r_product": val}
     ok = val <= 4
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_lex_upper_diam2(inst, cfg):
@@ -392,7 +395,7 @@ def _run_lex_upper_diam2(inst, cfg):
     val = _product_value(g, h, cfg)
     details = {"gamma_r_product": val, "bound": bound}
     ok = val <= bound
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_lex_upper_two_thirds(inst, cfg):
@@ -403,7 +406,7 @@ def _run_lex_upper_two_thirds(inst, cfg):
     val = _product_value(g, h, cfg)
     details = {"gamma_r_product": val, "bound": bound}
     ok = val <= bound
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_lex_upper_tree_ns(inst, cfg):
@@ -414,7 +417,7 @@ def _run_lex_upper_tree_ns(inst, cfg):
     val = _product_value(g, h, cfg)
     details = {"gamma_r_product": val, "bound": g.n + s, "supports": s}
     ok = val <= g.n + s
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_lex_upper_planar6(inst, cfg):
@@ -424,7 +427,7 @@ def _run_lex_upper_planar6(inst, cfg):
     val = _product_value(g, h, cfg)
     details = {"gamma_r_product": val}
     ok = val <= 6
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_lex_upper_4gamma(inst, cfg):
@@ -435,7 +438,7 @@ def _run_lex_upper_4gamma(inst, cfg):
     val = _product_value(g, h, cfg)
     details = {"gamma_r_product": val, "gamma": gamma}
     ok = val <= 4 * gamma
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_lex_upper_gamma_gammar(inst, cfg):
@@ -447,7 +450,7 @@ def _run_lex_upper_gamma_gammar(inst, cfg):
     val = _product_value(g, h, cfg)
     details = {"gamma_r_product": val, "gamma": gamma, "gamma_r_h": grh}
     ok = val <= gamma * grh
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_lex_upper_g2t(inst, cfg):
@@ -461,7 +464,7 @@ def _run_lex_upper_g2t(inst, cfg):
     gr_p = _val("gamma_r", p, cfg)
     details = {"gamma_2t": g2t, "gamma_r": gr_g, "gamma_2t_product": g2t_p, "gamma_r_product": gr_p}
     ok = gr_g <= g2t and g2t_p <= g2t and gr_p <= g2t
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_copy_lemma(inst, cfg):
@@ -494,7 +497,7 @@ def _run_lex_lower_max(inst, cfg):
     val = _val("gamma_r", lexicographic(g, h), _blind(cfg))
     details = {"gamma_r_product": val, "gamma_r": gr, "gamma_t": gt, "rho": rho, "bound": bound}
     ok = val >= bound
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_tree_lower_2gamma(inst, cfg):
@@ -505,7 +508,7 @@ def _run_tree_lower_2gamma(inst, cfg):
     val = _val("gamma_r", lexicographic(g, h), _blind(cfg))
     details = {"gamma_r_product": val, "gamma": gamma}
     ok = val >= 2 * gamma
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_lex_complete_second(inst, cfg):
@@ -517,7 +520,7 @@ def _run_lex_complete_second(inst, cfg):
     val = _val("gamma_r", lexicographic(g, complete(m)), cfg)
     details = {"gamma_r": gr, "gamma_r_product": val}
     ok = val == gr
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_eq_2gt(inst, cfg):
@@ -533,7 +536,7 @@ def _run_eq_2gt(inst, cfg):
     val = _product_value(g, h, cfg)
     details = {"gamma_r_product": val, "gamma_t": gt}
     ok = val == 2 * gt
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_corona_eq(inst, cfg):
@@ -546,7 +549,7 @@ def _run_corona_eq(inst, cfg):
     rho = _val("rho", p, cfg)
     details = {"gamma_r": gr, "gamma_t": gt, "rho": rho, "n1": g1.n}
     ok = gr == 2 * gt == 2 * rho
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_weakroman_eq_2gamma(inst, cfg):
@@ -561,7 +564,7 @@ def _run_weakroman_eq_2gamma(inst, cfg):
     val = _product_value(g, h, cfg)
     details = {"gamma_r_product": val, "gamma": gamma}
     ok = val == 2 * gamma
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_strongsupport_tree(inst, cfg):
@@ -580,7 +583,7 @@ def _run_strongsupport_tree(inst, cfg):
     val = _product_value(g, h, cfg)
     details = {"gamma_r_product": val, "gamma": gamma, "dominating_set": sorted(sets[0])}
     ok = val == 2 * gamma
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_star_leaf_4gamma(inst, cfg):
@@ -604,7 +607,7 @@ def _run_star_leaf_4gamma(inst, cfg):
     val = _product_value(g, h, cfg)
     details = {"gamma_r_product": val, "gamma": gamma, "dominating_set": sorted(witness_set)}
     ok = val == 4 * gamma
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_eq_g2t(inst, cfg):
@@ -620,7 +623,7 @@ def _run_eq_g2t(inst, cfg):
     val = _product_value(g, h, cfg)
     details = {"gamma_r_product": val, "gamma_2t": g2t}
     ok = val == g2t
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_kn_lex(inst, cfg):
@@ -633,7 +636,7 @@ def _run_kn_lex(inst, cfg):
     has_p = any(satisfies_property_p(h, a) for a in range(h.n))
     ok = 2 <= val <= 3 and (val == 2) == (grh == 2 or has_p)
     details = {"gamma_r_product": val, "gamma_r_h": grh, "property_p_vertex": has_p}
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_star_lex(inst, cfg):
@@ -656,7 +659,7 @@ def _run_star_lex(inst, cfg):
     else:
         ok = 3 <= val <= 4
         details["case"] = "gamma_r(H) >= 4"
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_p3_lemma(inst, cfg):
@@ -682,7 +685,7 @@ def _run_p3_lemma(inst, cfg):
             exists_shape = True
     details = {"optima_checked": count, "shape_witness_found": exists_shape}
     ok = count > 0 and exists_shape
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_comb_formula(inst, cfg):
@@ -694,7 +697,7 @@ def _run_comb_formula(inst, cfg):
     val = _val("gamma_r", lexicographic(comb(n), h), cfg)
     details = {"gamma_r_product": val, "expected": want}
     ok = val == want
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_p4_reduction(inst, cfg):
@@ -717,7 +720,7 @@ def _run_p4_reduction(inst, cfg):
         "dropped_duplicates": red.dropped_duplicates,
     }
     ok = lhs == rhs
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_cycle_lex(inst, cfg):
@@ -728,7 +731,7 @@ def _run_cycle_lex(inst, cfg):
     val = _val("gamma_r", lexicographic(cycle(n), h), cfg)
     details = {"gamma_r_product": val, "expected": n}
     ok = val == n
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_path_lex(inst, cfg):
@@ -740,7 +743,7 @@ def _run_path_lex(inst, cfg):
     val = _val("gamma_r", lexicographic(path(n), h), cfg)
     details = {"gamma_r_product": val, "expected": want}
     ok = val == want
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_twoouterweights(inst, cfg):
@@ -773,7 +776,7 @@ def _run_grs_value(inst, cfg):
     val = _val("gamma_r", lexicographic(g, h), cfg)
     details = {"gamma_r_product": val, "gamma_2t": g2t}
     ok = val == 5 == g2t
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 def _run_hk_value(inst, cfg):
@@ -786,7 +789,7 @@ def _run_hk_value(inst, cfg):
     val = _val("gamma_r", lexicographic(g, h), cfg)
     details = {"gamma_r": gr, "gamma_2t": g2t, "gamma_r_product": val, "k": k}
     ok = gr == g2t == k and val == k
-    return ("holds" if ok else "violated"), details, (None if ok else details.copy())
+    return _verdict(ok, details)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ agreement, enumeration of optima, determinism across shard counts."""
 import pytest
 
 from weakroman import (
+    BudgetExceededError,
     GraphError,
     LegionFunction,
     SolverConfig,
@@ -272,10 +273,22 @@ def test_enumerate_disconnected_cross_product():
 
 
 def test_shard_determinism():
-    for g in (gen.fig4_twocycles(), gen.comb(7), lexicographic(gen.cycle(4), gen.path(7))):
+    p4 = lexicographic(gen.path(4), gen.path(10))
+    for g in (gen.fig4_twocycles(), gen.comb(7), lexicographic(gen.cycle(4), gen.path(7)), p4):
         results = [solve("gamma_r", g, SolverConfig(shards=k)) for k in (1, 2, 8)]
         assert len({r.value for r in results}) == 1
         assert len({r.certificate for r in results}) == 1
+        assert len({r.nodes for r in results}) == 1
+    # one node budget covers the whole search, so the verdict cannot depend
+    # on the shard count (P4oP10 needs 585 nodes)
+    lowers = set()
+    for k in (1, 2, 8):
+        with pytest.raises(BudgetExceededError) as exc:
+            solve("gamma_r", p4, SolverConfig(shards=k, node_budget=300))
+        lowers.add(exc.value.lower)
+    assert lowers == {4}
+    with pytest.raises(GraphError):
+        SolverConfig(shards=0)
 
 
 def test_budget_exceeded_reports_interval():
@@ -300,7 +313,7 @@ def test_product_route_agrees_with_blind_route():
         (gen.star(3), gen.path(4)),
         (gen.complete(3), gen.cycle(5)),
     ]
-    blind = SolverConfig(bounds=frozenset({"chain"}))
+    blind = SolverConfig(product_pruning=False)
     for g, h in cases:
         p = lexicographic(g, h)
         assert solve("gamma_r", p).value == solve("gamma_r", p, blind).value
