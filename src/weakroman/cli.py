@@ -206,11 +206,11 @@ def _cmd_verify_cert(args, stdout, stdin) -> int:
     g = _read_graph(args.file, stdin)
     with open(args.cert, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    invariant = payload.get("invariant")
+    invariant = args.invariant
+    if payload.get("invariant") != invariant:
+        raise GraphError(f"certificate is for {payload.get('invariant')!r}, not {invariant!r}")
     value = payload.get("value")
     cert = payload.get("certificate", {})
-    if invariant not in INVARIANTS:
-        raise GraphError(f"certificate carries unknown invariant {invariant!r}")
     if invariant in FUNCTION_INVARIANTS:
         subject = LegionFunction.from_sets(g.n, cert.get("V1", ()), cert.get("V2", ()))
         value_ok = subject.weight == value

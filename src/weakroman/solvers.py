@@ -16,11 +16,11 @@ product-level facts tighten the search: every optimal function puts weight
 at least 2 on each closed copy neighbourhood, and a copy with no positive
 weight in its neighbouring copies must dominate its own copy internally.
 
-All searches enumerate candidates in one fixed global order - the
-lexicographic order of (sorted V2, sorted V1) index sequences (or of the
-sorted set, for set invariants) - and run one after another, so the first
-feasible candidate is the canonical certificate and value, certificate,
-node count and budget verdict do not depend on anything but the input.
+Every search is a generator that yields its hits in one fixed global
+order - the lexicographic order of (sorted V2, sorted V1) index sequences
+(or of the sorted set, for set invariants).  The first hit is the canonical
+certificate and an enumeration iterates on, so value, certificate, node
+count and budget verdict do not depend on anything but the input.
 
 The :func:`oracle` function recomputes every invariant by an exhaustive
 scan (2^n subsets or 3^n functions) using only the raw definitional
@@ -236,8 +236,9 @@ def satisfies_property_p(h: Graph, a: int) -> bool:
 class SolverConfig:
     """Search limits and strategy flags.
 
-    ``shards`` is accepted and validated but has no effect: the search always
-    runs its tasks one after another.  ``product_pruning`` enables the
+    ``shards`` is accepted and validated but has no effect: every search is
+    one sequential generator.  ``max_weight`` caps the target weight of
+    ``gamma_r`` and ``gamma_R``.  ``product_pruning`` enables the
     product-structure bound and the per-copy weight pruning on lexicographic
     products; switching it off forces the structure-blind search (used when
     the claims that justify those prunes are themselves under test).
@@ -286,7 +287,7 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Set-invariant search (gamma, gamma_t, gamma_2t, gamma_s, rho)
+# Shared search plumbing: node counter, weight-raising loop, defence test
 # ---------------------------------------------------------------------------
 
 
@@ -305,12 +306,83 @@ class _Counter:
             raise BudgetExceededError(self.invariant, self.lower, None)
 
 
-def _min_sets(g: Graph, k: int, kind: str, counter: _Counter, first_only: bool) -> list[int]:
-    """Feasible sets of size exactly k, ascending lexicographic; with
-    ``first_only`` the search stops at the first one.
+def _lowest(search, lo: int, hi: int, counter: _Counter, cap: int | None = None):
+    """(t, first hit) for the smallest t in lo..hi whose ``search(t)`` yields.
+
+    ``cap`` (``max_weight``, for the function invariants) cuts hi short; a
+    search that runs past hi raises :class:`BudgetExceededError`.
+    """
+    if cap is not None:
+        hi = min(hi, cap)
+    for t in range(lo, hi + 1):
+        counter.lower = t
+        hit = next(search(t), None)
+        if hit is not None:
+            return t, hit
+    raise BudgetExceededError(counter.invariant, hi + 1, None)
+
+
+def _defended(g: Graph, m2: int, m1: int, cov1: int, cov2: int) -> bool:
+    """Whether the placement (V2, V1) = (m2, m1) dominates and defends.
+
+    ``cov1``/``cov2`` are the vertices covered at least once/twice by the
+    closed neighbourhoods of V1 | V2.  A V0 vertex v next to V2 is safe; any
+    other needs a V1 neighbour u such that every vertex only u covers lies
+    in N[v], so moving u's legion to v leaves everything dominated.  With
+    V2 empty this is the secure domination test.
+    """
+    full = (1 << g.n) - 1
+    if cov1 != full:
+        return False
+    adj = g.adj
+    closed = g.closed
+    unique = cov1 & ~cov2
+    safe = 0
+    rest = m2
+    while rest:
+        low = rest & -rest
+        safe |= adj[low.bit_length() - 1]
+        rest ^= low
+    good = m1  # movers whose removal breaks nothing (the mover itself
+    rest = m1  # is always re-covered by the arriving legion)
+    while rest:
+        low = rest & -rest
+        if unique & closed[low.bit_length() - 1] & ~low:
+            good &= ~low
+        rest ^= low
+    rest = full & ~(m2 | m1) & ~safe
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        rest ^= low
+        av = adj[v]
+        if av & good:
+            continue
+        cv = closed[v]
+        ok = False
+        cand = av & m1
+        while cand:
+            ulow = cand & -cand
+            if unique & closed[ulow.bit_length() - 1] & ~cv == 0:
+                ok = True
+                break
+            cand ^= ulow
+        if not ok:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Set-invariant search (gamma, gamma_t, gamma_2t, gamma_s, rho)
+# ---------------------------------------------------------------------------
+
+
+def _min_sets(g: Graph, k: int, kind: str, counter: _Counter):
+    """Generator of the feasible sets of size exactly k, ascending
+    lexicographic.
 
     ``kind`` selects the coverage notion: closed neighbourhoods for
-    ``gamma``/``gamma_s`` (plus the swap test for the latter), open for
+    ``gamma``/``gamma_s`` (plus the defence test for the latter), open for
     ``gamma_t``, doubled open for ``gamma_2t``.
     """
     n = g.n
@@ -321,17 +393,16 @@ def _min_sets(g: Graph, k: int, kind: str, counter: _Counter, first_only: bool) 
     thresholds = [coverers[v].bit_length() - 1 for v in order]
     double = kind == "gamma_2t"
     secure = kind == "gamma_s"
-    out: list[int] = []
 
-    def rec(start: int, mask: int, once: int, twice: int, slots: int, cp: int) -> bool:
-        """Extend the partial set; True means stop the whole search."""
+    def rec(start: int, mask: int, once: int, twice: int, slots: int, cp: int):
         counter.tick()
         if slots == 0:
-            goal = twice if double else once
-            if goal == full and (not secure or _secure_swaps_ok(g, mask)):
-                out.append(mask)
-                return first_only
-            return False
+            if secure:
+                if _defended(g, 0, mask, once, twice):
+                    yield mask
+            elif (twice if double else once) == full:
+                yield mask
+            return
         for e in range(start, n - slots + 1):
             cover = coverers[e]
             o2 = once | cover
@@ -344,12 +415,9 @@ def _min_sets(g: Graph, k: int, kind: str, counter: _Counter, first_only: bool) 
                 cp2 += 1
             if cp2 < n and thresholds[cp2] <= e:
                 continue
-            if rec(e + 1, mask | (1 << e), o2, t2, slots - 1, cp2):
-                return True
-        return False
+            yield from rec(e + 1, mask | (1 << e), o2, t2, slots - 1, cp2)
 
-    rec(0, 0, 0, 0, k, 0)
-    return out
+    return rec(0, 0, 0, 0, k, 0)
 
 
 def _lift(mask: int, verts) -> int:
@@ -360,43 +428,18 @@ def _lift(mask: int, verts) -> int:
     return out
 
 
-def minimum_dominating_sets(g: Graph, config: SolverConfig | None = None) -> list[VertexSet]:
+def minimum_dominating_sets(g: Graph | ProductGraph, config: SolverConfig | None = None) -> list[VertexSet]:
     """Every minimum dominating set, ascending lexicographic order."""
     cfg = config or SolverConfig()
-    if g.n == 0:
-        raise UndefinedInvariantError("invariants undefined on the graph with no vertices")
+    flat = _flat("gamma", g)
     counter = _Counter(cfg.node_budget, "gamma")
     per_comp = []
     for verts, sub, _, _ in _pieces(g, lex=False):
         k, _ = _solve_min_set(sub, "gamma", counter)
-        per_comp.append([_lift(m, verts) for m in _min_sets(sub, k, "gamma", counter, False)])
+        per_comp.append([_lift(m, verts) for m in _min_sets(sub, k, "gamma", counter)])
     out = [sum(chosen) for chosen in itertools.product(*per_comp)]
     out.sort(key=lambda m: tuple(_bits(m)))
-    return [VertexSet(g.n, m) for m in out]
-
-
-def _secure_swaps_ok(g: Graph, smask: int) -> bool:
-    # uniquely-covered analysis: removing u breaks exactly the vertices
-    # whose only closed-neighbourhood cover in S is u
-    cov1 = cov2 = 0
-    for p in _bits(smask):
-        c = g.closed[p]
-        cov2 |= cov1 & c
-        cov1 |= c
-    full = (1 << g.n) - 1
-    if cov1 != full:
-        return False
-    unique = cov1 & ~cov2
-    for v in _bits(full & ~smask):
-        cv = g.closed[v]
-        ok = False
-        for u in _bits(g.adj[v] & smask):
-            if unique & g.closed[u] & ~cv == 0:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    return [VertexSet(flat.n, m) for m in out]
 
 
 def _solve_min_set(g: Graph, invariant: str, counter: _Counter) -> tuple[int, int]:
@@ -410,41 +453,29 @@ def _solve_min_set(g: Graph, invariant: str, counter: _Counter) -> tuple[int, in
         lo = min(3, n)
     else:
         lo = 1
-    for k in range(max(1, lo), n + 1):
-        counter.lower = k
-        found = _min_sets(g, k, invariant, counter, True)
-        if found:
-            return k, found[0]
-    raise GraphError(f"no feasible set for {invariant} up to size n")  # unreachable for valid inputs
+    return _lowest(lambda k: _min_sets(g, k, invariant, counter), max(1, lo), n, counter)
 
 
-def _packing_exists(g: Graph, k: int, counter: _Counter) -> int | None:
+def _packings(g: Graph, k: int, counter: _Counter):
+    """Generator of the 2-packings of size exactly k, ascending lexicographic."""
     n = g.n
-    result = None
 
     def rec(start: int, mask: int, blocked: int, slots: int):
-        nonlocal result
-        if result is not None:
-            return
         counter.tick()
         if slots == 0:
-            result = mask
+            yield mask
             return
         for e in range(start, n - slots + 1):
-            if g.closed[e] & blocked:
-                continue
-            rec(e + 1, mask | (1 << e), blocked | g.closed[e], slots - 1)
-            if result is not None:
-                return
+            if not g.closed[e] & blocked:
+                yield from rec(e + 1, mask | (1 << e), blocked | g.closed[e], slots - 1)
 
-    rec(0, 0, 0, k)
-    return result
+    return rec(0, 0, 0, k)
 
 
 def _solve_rho(g: Graph, counter: _Counter) -> tuple[int, int]:
     best = (0, 0)
     for k in range(1, g.n + 1):
-        mask = _packing_exists(g, k, counter)
+        mask = next(_packings(g, k, counter), None)
         if mask is None:
             break
         best = (k, mask)
@@ -456,53 +487,40 @@ def _solve_rho(g: Graph, counter: _Counter) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _rdf_first_at_weight(g: Graph, t: int, counter: _Counter) -> tuple[int, int] | None:
-    """Canonically smallest (V2, V1) RDF of weight exactly t, or None.
+def _rdfs_at_weight(g: Graph, t: int, counter: _Counter):
+    """Generator of Roman dominating functions (m2, m1) of weight exactly t,
+    one per feasible V2 in ascending sequence order; the first is the
+    canonically smallest.
 
     Given V2, the vertices left undominated by V2 are forced into V1, and
     the remaining V1 slots are filled with the smallest free indices; so
-    only V2 is searched, in ascending sequence order.
+    only V2 is searched.
     """
     n = g.n
     full = (1 << n) - 1
-    found = None
 
-    def try_v2(m2: int) -> tuple[int, int] | None:
+    def rec(last: int, m2: int, size: int):
         counter.tick()
-        k1 = t - 2 * m2.bit_count()
+        k1 = t - 2 * size
         cover2 = 0
         for u in _bits(m2):
             cover2 |= g.adj[u]
-        required = full & ~m2 & ~cover2
-        extra = k1 - required.bit_count()
-        if extra < 0 or n - m2.bit_count() < k1:
-            return None
-        m1 = required
-        for v in range(n):
-            if extra == 0:
-                break
-            bv = 1 << v
-            if not (m2 | m1) & bv:
-                m1 |= bv
-                extra -= 1
-        return (m2, m1)
-
-    def rec(last: int, m2: int, size: int):
-        nonlocal found
-        if found is not None:
-            return
-        res = try_v2(m2)
-        if res is not None:
-            found = res
-            return
+        m1 = full & ~m2 & ~cover2
+        extra = k1 - m1.bit_count()
+        if extra >= 0 and n - size >= k1:
+            for v in range(n):
+                if extra == 0:
+                    break
+                bv = 1 << v
+                if not (m2 | m1) & bv:
+                    m1 |= bv
+                    extra -= 1
+            yield m2, m1
         if size < t // 2:
             for j in range(last + 1, n):
-                rec(j, m2 | (1 << j), size + 1)
-                if found is not None:
-                    return
+                yield from rec(j, m2 | (1 << j), size + 1)
 
-    rec(-1, 0, 0)
-    return found
+    return rec(-1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +568,19 @@ def _product_ctx(factor: Graph | None, h: Graph | None, cfg: SolverConfig) -> _L
 
 
 class _WrdfSearch:
-    """All weak Roman dominating functions of one fixed weight on one graph,
-    enumerated in canonical (sorted V2, sorted V1) order."""
+    """Weak Roman dominating functions of one connected piece, weight by
+    weight, in canonical (sorted V2, sorted V1) order.  The checkpoint
+    tables depend on the graph alone, so they serve every weight."""
 
-    def __init__(self, g: Graph, t: int, ctx: _LexContext | None):
+    def __init__(self, g: Graph, ctx: _LexContext | None):
         self.g = g
-        self.t = t
         self.ctx = ctx
         n = g.n
-        self.full = (1 << n) - 1
-        cps: list[tuple[int, int, int, int]] = []
+        cps: list[tuple[int, int, int]] = []
         for v in range(n):
             reach = g.closed[v]
             thr1 = reach.bit_length() - 1
-            cps.append((thr1, _CP_DOM, _CP_DOM, v))
+            cps.append((thr1, _CP_DOM, v))
             ctx2 = reach
             for w in _bits(reach):
                 ctx2 |= g.closed[w]
@@ -571,9 +588,11 @@ class _WrdfSearch:
             # defence fires once when the defenders are decided (sound but
             # optimistic about undecided victims) and again when the whole
             # two-step context is decided
-            cps.append((thr1, _CP_DEFENSE, _CP_DEFENSE, v))
+            cps.append((thr1, _CP_DEFENSE, v))
             if thr2 != thr1:
-                cps.append((thr2, _CP_DEFENSE, _CP_DEFENSE, v))
+                cps.append((thr2, _CP_DEFENSE, v))
+        # future_support[e] = vertices that may still gain a coverer from an
+        # index above e (conservatively ignoring V2 membership)
         support = [0] * n
         for v in range(n):
             last = g.closed[v].bit_length() - 1
@@ -583,31 +602,21 @@ class _WrdfSearch:
         if ctx is not None:
             for x in range(ctx.n_g):
                 thr = ctx.copy_end[x]
-                cps.append((thr, _CP_CLOSURE, _CP_CLOSURE, x))
-                cps.append((thr, _CP_OUTER, _CP_OUTER, x))
+                cps.append((thr, _CP_CLOSURE, x))
+                cps.append((thr, _CP_OUTER, x))
         cps.sort()
-        self.cps = tuple((thr, kind, payload) for thr, _, kind, payload in cps)
+        self.cps = tuple(cps)
 
-    # -- task list: the fixed top-level partition of the search space -------
-
-    def tasks(self) -> list[tuple[int, int]]:
-        n = self.g.n
-        out = [(0, i) for i in range(n - self.t + 1)]  # V2 empty, first 1 at i
-        if self.t >= 2:
-            out.extend((1, i) for i in range(n))       # V2 starting at i
-        return out
-
-    def run_task(self, task, first_only: bool, counter: _Counter) -> list[tuple[int, int]]:
+    def at_weight(self, t: int, counter: _Counter):
+        """Generator of the (m2, m1) of weight exactly t, rooted at the
+        empty placement."""
         g = self.g
         n = g.n
-        t = self.t
         adj = g.adj
         closed = g.closed
-        full = self.full
+        full = (1 << n) - 1
         cps = self.cps
         ncp = len(cps)
-        # future_support[e] = vertices that may still gain a coverer from an
-        # index above e (conservatively ignoring V2 membership)
         future_support = self.future_support
         ctx = self.ctx
         lookahead = None
@@ -643,46 +652,6 @@ class _WrdfSearch:
                             return False
                         used |= cm
                 return True
-        out: list[tuple[int, int]] = []
-
-        def final_check(m2: int, m1: int, cov1: int, cov2: int) -> bool:
-            if cov1 != full:
-                return False
-            pos = m2 | m1
-            unique = cov1 & ~cov2
-            safe = 0
-            rest = m2
-            while rest:
-                low = rest & -rest
-                safe |= adj[low.bit_length() - 1]
-                rest ^= low
-            good = m1  # movers whose removal breaks nothing (the mover itself
-            rest = m1  # is always re-covered by the arriving legion)
-            while rest:
-                low = rest & -rest
-                if unique & closed[low.bit_length() - 1] & ~low:
-                    good &= ~low
-                rest ^= low
-            rest = full & ~pos & ~safe
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                rest ^= low
-                av = adj[v]
-                if av & good:
-                    continue
-                cv = closed[v]
-                ok = False
-                cand = av & m1
-                while cand:
-                    ulow = cand & -cand
-                    if unique & closed[ulow.bit_length() - 1] & ~cv == 0:
-                        ok = True
-                        break
-                    cand ^= ulow
-                if not ok:
-                    return False
-            return True
 
         def advance(cp: int, e: int, m2: int, m1: int, rem: int, cov1: int, cov2: int) -> int:
             """Run checkpoints with threshold <= e; -1 means prune."""
@@ -755,19 +724,11 @@ class _WrdfSearch:
                 cp += 1
             return cp
 
-        class _Stop(Exception):
-            pass
-
-        def emit(m2: int, m1: int):
-            out.append((m2, m1))
-            if first_only:
-                raise _Stop
-
         def dfs_v1(start: int, m2: int, m1: int, slots: int, cp: int, cov1: int, cov2: int):
             counter.tick()
             if slots == 0:
-                if final_check(m2, m1, cov1, cov2):
-                    emit(m2, m1)
+                if _defended(g, m2, m1, cov1, cov2):
+                    yield m2, m1
                 return
             if slots == 1:
                 # the last legion must cover everything still uncovered
@@ -787,7 +748,7 @@ class _WrdfSearch:
                         w[copy_of[e]] += 1
                     cp2 = advance(cp, e, m2, m1b, 0, cov1 | c, cov2 | (cov1 & c))
                     if cp2 >= 0:
-                        dfs_v1(e + 1, m2, m1b, 0, cp2, cov1 | c, cov2 | (cov1 & c))
+                        yield from dfs_v1(e + 1, m2, m1b, 0, cp2, cov1 | c, cov2 | (cov1 & c))
                     if ctx is not None:
                         w[copy_of[e]] -= 1
                 return
@@ -803,68 +764,44 @@ class _WrdfSearch:
                     w[copy_of[e]] += 1
                 cp2 = advance(cp, e, m2, m1b, slots - 1, nc1, nc2)
                 if cp2 >= 0 and (lookahead is None or lookahead(e, slots - 1)):
-                    dfs_v1(e + 1, m2, m1b, slots - 1, cp2, nc1, nc2)
+                    yield from dfs_v1(e + 1, m2, m1b, slots - 1, cp2, nc1, nc2)
                 if ctx is not None:
                     w[copy_of[e]] -= 1
-
-        def v1_phase(m2: int, k1: int, cov1: int, cov2: int):
-            if k1 == 0:
-                counter.tick()
-                if final_check(m2, 0, cov1, cov2):
-                    emit(m2, 0)
-            else:
-                dfs_v1(0, m2, 0, k1, 0, cov1, cov2)
 
         def v2_node(last: int, m2: int, size: int, cov1: int, cov2: int):
             counter.tick()
             if lookahead is not None and not lookahead(-1, t - 2 * size):
                 return
-            v1_phase(m2, t - 2 * size, cov1, cov2)
+            yield from dfs_v1(0, m2, 0, t - 2 * size, 0, cov1, cov2)
             if size < t // 2:
                 for j in range(last + 1, n):
                     c = closed[j]
                     if ctx is not None:
                         w[copy_of[j]] += 2
-                    v2_node(j, m2 | (1 << j), size + 1, cov1 | c, cov2 | (cov1 & c))
+                    yield from v2_node(j, m2 | (1 << j), size + 1, cov1 | c, cov2 | (cov1 & c))
                     if ctx is not None:
                         w[copy_of[j]] -= 2
 
-        kind, i = task
-        try:
-            if kind == 0:
-                counter.tick()
-                bi = 1 << i
-                c = closed[i]
-                if ctx is not None:
-                    w[copy_of[i]] += 1
-                cp2 = advance(0, i, 0, bi, t - 1, c, 0)
-                if cp2 >= 0 and (lookahead is None or lookahead(i, t - 1)):
-                    dfs_v1(i + 1, 0, bi, t - 1, cp2, c, 0)
-                if ctx is not None:
-                    w[copy_of[i]] -= 1
-            else:
-                if ctx is not None:
-                    w[copy_of[i]] += 2
-                v2_node(i, 1 << i, 1, closed[i], 0)
-                if ctx is not None:
-                    w[copy_of[i]] -= 2
-        except _Stop:
-            pass
-        return out
-
-
-def _wrdfs_at_weight(g, t, ctx, counter, first_only: bool):
-    """WRDFs (m2, m1) of weight exactly t, in canonical order.  With
-    ``first_only`` each task stops at its first hit, so the first item is
-    the canonically smallest one; take it with ``next(..., None)``."""
-    search = _WrdfSearch(g, t, ctx)
-    for task in search.tasks():
-        yield from search.run_task(task, first_only, counter)
+        return v2_node(-1, 0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
 # Driver: per-component dispatch with structure detection
 # ---------------------------------------------------------------------------
+
+
+def _flat(invariant: str, g: Graph | ProductGraph) -> Graph:
+    """The flat graph of ``g``, once ``invariant`` is known and defined on it."""
+    if invariant not in INVARIANTS:
+        raise GraphError(f"unknown invariant {invariant!r} (expected one of {', '.join(INVARIANTS)})")
+    flat = g.graph if isinstance(g, ProductGraph) else g
+    if flat.n == 0:
+        raise UndefinedInvariantError("invariants undefined on the graph with no vertices")
+    if invariant == "gamma_t" and flat.min_degree() == 0:
+        raise UndefinedInvariantError("total domination undefined: isolated vertex")
+    if invariant == "gamma_2t" and flat.min_degree() < 2:
+        raise UndefinedInvariantError("double total domination undefined: minimum degree below two")
+    return flat
 
 
 def _pieces(g: Graph | ProductGraph, lex: bool) -> list[tuple[list[int], Graph, Graph | None, Graph | None]]:
@@ -891,28 +828,18 @@ def _pieces(g: Graph | ProductGraph, lex: bool) -> list[tuple[list[int], Graph, 
     return [(sorted(c), flat.induced(c) if len(comps) > 1 else flat, None, None) for c in comps]
 
 
-def _gamma_r_connected(g: Graph, factor: Graph | None, ctx: _LexContext | None, cfg, counter) -> tuple[int, int, int]:
-    """(value, m2, m1) for a connected graph; ``ctx`` carries the
-    lexicographic structure when there is one and ``factor`` is then the
-    first factor."""
-    if ctx is not None:
-        gr, _, _ = _gamma_r_connected(factor, None, None, cfg, counter)
+def _gamma_r_connected(search: _WrdfSearch, factor: Graph | None, cfg, counter) -> tuple[int, tuple[int, int]]:
+    """(value, (m2, m1)) for a connected piece; ``factor`` is its first
+    factor when ``search`` carries lexicographic structure."""
+    if search.ctx is not None:
+        gr, _ = _gamma_r_connected(_WrdfSearch(factor, None), None, cfg, counter)
         gt, _ = _solve_min_set(factor, "gamma_t", counter)
         rho, _ = _solve_rho(factor, counter)
-        lo = max(gr, gt, 2 * rho)
-        hi = g.n
+        lo, hi = max(gr, gt, 2 * rho), search.g.n
     else:
-        gamma, _ = _solve_min_set(g, "gamma", counter)
-        lo = gamma
-        hi = 2 * gamma
-    if cfg.max_weight is not None:
-        hi = min(hi, cfg.max_weight)
-    for t in range(lo, hi + 1):
-        counter.lower = t
-        found = next(_wrdfs_at_weight(g, t, ctx, counter, True), None)
-        if found is not None:
-            return t, found[0], found[1]
-    raise BudgetExceededError("gamma_r", hi + 1, None)
+        gamma, _ = _solve_min_set(search.g, "gamma", counter)
+        lo, hi = gamma, 2 * gamma
+    return _lowest(lambda t: search.at_weight(t, counter), lo, hi, counter, cfg.max_weight)
 
 
 def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None = None) -> SolveResult:
@@ -923,17 +850,8 @@ def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None =
     two; both raise :class:`UndefinedInvariantError` otherwise, as does the
     graph on zero vertices.
     """
-    if invariant not in INVARIANTS:
-        raise GraphError(f"unknown invariant {invariant!r} (expected one of {', '.join(INVARIANTS)})")
     cfg = config or SolverConfig()
-    flat = g.graph if isinstance(g, ProductGraph) else g
-    if flat.n == 0:
-        raise UndefinedInvariantError("invariants undefined on the graph with no vertices")
-    if invariant == "gamma_t" and flat.min_degree() == 0:
-        raise UndefinedInvariantError("total domination undefined: isolated vertex")
-    if invariant == "gamma_2t" and flat.min_degree() < 2:
-        raise UndefinedInvariantError("double total domination undefined: minimum degree below two")
-
+    flat = _flat(invariant, g)
     started = time.perf_counter()
     counter = _Counter(cfg.node_budget, invariant)
     total = 0
@@ -942,17 +860,12 @@ def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None =
     m2_mask = 0
     for verts, sub, factor, h in _pieces(g, lex=invariant == "gamma_r"):
         if invariant == "gamma_r":
-            val, m2, m1 = _gamma_r_connected(sub, factor, _product_ctx(factor, h, cfg), cfg, counter)
+            search = _WrdfSearch(sub, _product_ctx(factor, h, cfg))
+            val, (m2, m1) = _gamma_r_connected(search, factor, cfg, counter)
         elif invariant == "gamma_R":
             gamma, _ = _solve_min_set(sub, "gamma", counter)
-            for val in range(gamma, 2 * gamma + 1):
-                counter.lower = val
-                found = _rdf_first_at_weight(sub, val, counter)
-                if found is not None:
-                    break
-            else:  # 2 gamma is always feasible
-                raise BudgetExceededError("gamma_R", gamma, 2 * gamma)
-            m2, m1 = found
+            val, (m2, m1) = _lowest(lambda t: _rdfs_at_weight(sub, t, counter), gamma, 2 * gamma,
+                                    counter, cfg.max_weight)
         elif invariant == "rho":
             val, mask = _solve_rho(sub, counter)
         else:
@@ -976,29 +889,24 @@ def enumerate_optimal_wrdf(g: Graph | ProductGraph, config: SolverConfig | None 
     """Yield every weak Roman dominating function of minimum weight, each
     exactly once, in canonical order."""
     cfg = config or SolverConfig()
-    flat = g.graph if isinstance(g, ProductGraph) else g
-    if flat.n == 0:
-        raise UndefinedInvariantError("invariants undefined on the graph with no vertices")
+    flat = _flat("gamma_r", g)
     counter = _Counter(cfg.node_budget, "gamma_r")
 
-    per_piece = []
+    streams = []
     for verts, sub, factor, h in _pieces(g, lex=True):
-        ctx = _product_ctx(factor, h, cfg)
-        val, _, _ = _gamma_r_connected(sub, factor, ctx, cfg, counter)
-        per_piece.append((verts, sub, ctx, val))
+        search = _WrdfSearch(sub, _product_ctx(factor, h, cfg))
+        val, _ = _gamma_r_connected(search, factor, cfg, counter)
+        streams.append((verts, search.at_weight(val, counter)))
 
-    if len(per_piece) == 1:
-        verts, sub, ctx, val = per_piece[0]
-        for m2, m1 in _wrdfs_at_weight(sub, val, ctx, counter, False):
+    if len(streams) == 1:
+        verts, stream = streams[0]
+        for m2, m1 in stream:
             yield LegionFunction(flat.n, _lift(m1, verts), _lift(m2, verts))
         return
 
     # disconnected: take the cross product of per-component optima and
     # re-sort globally (component additivity makes this exhaustive)
-    lists = [
-        [(_lift(m2, verts), _lift(m1, verts)) for m2, m1 in _wrdfs_at_weight(sub, val, ctx, counter, False)]
-        for verts, sub, ctx, val in per_piece
-    ]
+    lists = [[(_lift(m2, verts), _lift(m1, verts)) for m2, m1 in stream] for verts, stream in streams]
     combos = []
     for chosen in itertools.product(*lists):
         gm2 = 0
@@ -1032,12 +940,8 @@ _ORACLE_FUNCTION_LIMIT = 12
 def oracle(invariant: str, g: Graph | ProductGraph) -> int:
     """Exact invariant value by exhaustive scan over all subsets (2^n) or
     all legion functions (3^n), using only the definitional predicates."""
-    if invariant not in INVARIANTS:
-        raise GraphError(f"unknown invariant {invariant!r} (expected one of {', '.join(INVARIANTS)})")
-    flat = g.graph if isinstance(g, ProductGraph) else g
+    flat = _flat(invariant, g)
     n = flat.n
-    if n == 0:
-        raise UndefinedInvariantError("invariants undefined on the graph with no vertices")
     predicate = PREDICATES[invariant]
     if invariant in FUNCTION_INVARIANTS:
         if n > _ORACLE_FUNCTION_LIMIT:
@@ -1053,10 +957,6 @@ def oracle(invariant: str, g: Graph | ProductGraph) -> int:
         return best
     if n > _ORACLE_SET_LIMIT:
         raise GraphError(f"oracle limit: set invariants need n <= {_ORACLE_SET_LIMIT}")
-    if invariant == "gamma_t" and flat.min_degree() == 0:
-        raise UndefinedInvariantError("total domination undefined: isolated vertex")
-    if invariant == "gamma_2t" and flat.min_degree() < 2:
-        raise UndefinedInvariantError("double total domination undefined: minimum degree below two")
     best = None
     maximize = invariant == "rho"
     for mask in range(1 << n):

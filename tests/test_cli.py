@@ -113,6 +113,9 @@ def test_verify_cert_roundtrip(tmp_path):
     cert_file.write_text(out)
     code, out, _ = cli(["verify-cert", "gamma_r", str(graph_file), "--cert", str(cert_file)])
     assert code == 0 and "VALID" in out
+    # a certificate checked as a different invariant is rejected
+    code, out, err = cli(["verify-cert", "gamma", str(graph_file), "--cert", str(cert_file)])
+    assert code == 2 and "VALID" not in out and "'gamma_r', not 'gamma'" in err
     # a doctored certificate fails
     payload = json.loads(cert_file.read_text())
     payload["certificate"]["V1"] = payload["certificate"]["V1"][:-1]

@@ -9,6 +9,7 @@ from weakroman import (
     LegionFunction,
     SolverConfig,
     UndefinedInvariantError,
+    corona,
     enumerate_optimal_wrdf,
     is_dominating,
     is_rdf,
@@ -262,6 +263,16 @@ def test_enumerate_matches_bruteforce():
         assert got == sorted(got, key=lambda f: f.key())
 
 
+def test_enumerate_streams():
+    # the first optimum comes out long before the whole list is built:
+    # listing every optimum needs about 36k nodes
+    g = lexicographic(gen.cycle(4), corona(gen.path(4), gen.empty(1)).graph)
+    first = next(enumerate_optimal_wrdf(g, SolverConfig(node_budget=10_000)))
+    assert first.weight == solve("gamma_r", g).value
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_optimal_wrdf(g, SolverConfig(node_budget=10_000)))
+
+
 def test_enumerate_disconnected_cross_product():
     double = Graph.from_edges(4, [(0, 1), (2, 3)])  # K2 + K2
     opts = list(enumerate_optimal_wrdf(double))
@@ -280,7 +291,7 @@ def test_shard_determinism():
         assert len({r.certificate for r in results}) == 1
         assert len({r.nodes for r in results}) == 1
     # one node budget covers the whole search, so the verdict cannot depend
-    # on the shard count (P4oP10 needs 585 nodes)
+    # on the shard count (P4oP10 needs 577 nodes)
     lowers = set()
     for k in (1, 2, 8):
         with pytest.raises(BudgetExceededError) as exc:
@@ -304,6 +315,11 @@ def test_max_weight_cap():
 
     with pytest.raises(BudgetExceededError):
         solve("gamma_r", gen.path(7), SolverConfig(max_weight=2))
+    # the cap binds gamma_R too, and the error carries the bound above the cap
+    with pytest.raises(BudgetExceededError) as exc:
+        solve("gamma_R", gen.path(7), SolverConfig(max_weight=2))
+    assert exc.value.lower == 3
+    assert solve("gamma_R", gen.path(7), SolverConfig(max_weight=5)).value == 5
 
 
 def test_product_route_agrees_with_blind_route():
