@@ -22,6 +22,27 @@ order - the lexicographic order of (sorted V2, sorted V1) index sequences
 certificate and an enumeration iterates on, so value, certificate, node
 count and budget verdict do not depend on anything but the input.
 
+Symmetry cuts.  The ``gamma_r`` search skips functions that a graph
+automorphism maps to a smaller key (lex-leader cuts; Crawford, Ginsberg,
+Luks & Roy, KR 1996).  Two kinds of automorphism are used:
+
+* Twins - vertices with equal open or equal closed neighbourhoods - can be
+  swapped.  So a vertex may join V2 only if its previous twin is in V2, and
+  V1 only if its previous twin is in V2 or V1.  This applies to every piece.
+* On a lexicographic product G o H, each automorphism of H acts on one copy
+  of H on its own (Sabidussi, Duke Math. J. 26, 1959).  Once a copy is
+  decided, the search drops it if some such automorphism maps the copy's
+  (V2, V1) pattern to a smaller key.  Only the automorphisms that keep each
+  twin class of H in index order are tried; the twin rule covers the rest.
+
+Soundness: an automorphism maps weak Roman dominating functions to weak
+Roman dominating functions of the same weight, and every orbit has a least
+member, which passes both cuts.  So a weight with no surviving function has
+no function at all, and the canonical certificate, the least function of
+its weight, is found first as before.  The cuts drop optima, so
+:func:`enumerate_optimal_wrdf` streams its optima from a search with them
+off.
+
 The :func:`oracle` function recomputes every invariant by an exhaustive
 scan (2^n subsets or 3^n functions) using only the raw definitional
 predicates; it shares no search code with :func:`solve` and exists to
@@ -237,11 +258,12 @@ class SolverConfig:
     """Search limits and strategy flags.
 
     ``shards`` is accepted and validated but has no effect: every search is
-    one sequential generator.  ``max_weight`` caps the target weight of
-    ``gamma_r`` and ``gamma_R``.  ``product_pruning`` enables the
-    product-structure bound and the per-copy weight pruning on lexicographic
-    products; switching it off forces the structure-blind search (used when
-    the claims that justify those prunes are themselves under test).
+    one sequential generator.  ``max_weight`` caps the weight of ``gamma_r``
+    and ``gamma_R``, summed over the components.  ``product_pruning``
+    enables the product-structure bound and the per-copy weight pruning on
+    lexicographic products; switching it off forces the structure-blind
+    search (used when the claims that justify those prunes are themselves
+    under test).
     """
 
     shards: int = 1
@@ -531,6 +553,76 @@ _CP_DOM = 0
 _CP_CLOSURE = 1
 _CP_OUTER = 2
 _CP_DEFENSE = 3
+_CP_AUT = 4
+
+
+def _prev_twins(g: Graph) -> tuple[int, ...]:
+    """For each vertex, the bit of its previous twin - the largest smaller
+    index with an equal open or an equal closed neighbourhood - or 0.
+
+    Both relations are equivalences, and no vertex has an open twin and a
+    closed twin at once, so each vertex lies in one twin class and the
+    previous twins chain through it in index order."""
+    last: dict[tuple[int, int], int] = {}
+    out = []
+    for v in range(g.n):
+        keys = ((0, g.adj[v]), (1, g.closed[v]))
+        prev = max((last[k] for k in keys if k in last), default=-1)
+        out.append(0 if prev < 0 else 1 << prev)
+        for k in keys:
+            last[k] = v
+    return tuple(out)
+
+
+def _automorphisms(h: Graph) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms of ``h`` that keep each twin class in index order,
+    identity left out, as tuples of images.
+
+    Every automorphism is one of these followed by a permutation inside the
+    twin classes, which the twin rule of :class:`_WrdfSearch` already
+    breaks.  Backtracks vertex by vertex, keeping degrees and the adjacency
+    to the vertices already mapped."""
+    n = h.n
+    adj = h.adj
+    twin = _prev_twins(h)
+    image = [0] * n
+    out = []
+
+    def extend(a: int, used: int):
+        if a == n:
+            if any(image[v] != v for v in range(n)):
+                out.append(tuple(image))
+            return
+        mapped = 0
+        for c in _bits(adj[a] & ((1 << a) - 1)):
+            mapped |= 1 << image[c]
+        low = image[twin[a].bit_length() - 1] + 1 if twin[a] else 0
+        for b in range(low, n):
+            if not used >> b & 1 and adj[b].bit_count() == adj[a].bit_count() and adj[b] & used == mapped:
+                image[a] = b
+                extend(a + 1, used | 1 << b)
+
+    extend(0, 0)
+    return tuple(out)
+
+
+def _copy_is_leader(p2: int, p1: int, auts: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether no automorphism maps the copy pattern (V2, V1) = (p2, p1) to
+    a smaller (sorted V2, sorted V1) key.
+
+    Two sets of one size compare as sorted sequences by their lowest
+    differing element: the set holding it is the smaller."""
+    for sigma in auts:
+        for p in (p2, p1):
+            q = 0
+            for a in _bits(p):
+                q |= 1 << sigma[a]
+            d = q ^ p
+            if d:
+                break
+        if q & d & -d:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -546,6 +638,7 @@ class _LexContext:
     h_closed: tuple[int, ...]     # closed neighbourhoods inside H
     h_full: int
     h_prop_p: tuple[bool, ...]    # H-vertices whose closed-neighbourhood complement is a clique
+    h_auts: tuple[tuple[int, ...], ...]  # _automorphisms(H), each acting on one copy at a time
 
 
 def _product_ctx(factor: Graph | None, h: Graph | None, cfg: SolverConfig) -> _LexContext | None:
@@ -564,18 +657,25 @@ def _product_ctx(factor: Graph | None, h: Graph | None, cfg: SolverConfig) -> _L
         h_closed=h.closed,
         h_full=(1 << nh) - 1,
         h_prop_p=tuple(satisfies_property_p(h, a) for a in range(nh)),
+        h_auts=_automorphisms(h),
     )
 
 
 class _WrdfSearch:
     """Weak Roman dominating functions of one connected piece, weight by
     weight, in canonical (sorted V2, sorted V1) order.  The checkpoint
-    tables depend on the graph alone, so they serve every weight."""
+    tables depend on the graph alone, so they serve every weight.
 
-    def __init__(self, g: Graph, ctx: _LexContext | None):
+    With ``symmetry`` the search keeps only functions that pass the twin
+    rule and, on a lexicographic product, the per-copy Aut(H) cut (see the
+    module docstring); without it, it yields every function."""
+
+    def __init__(self, g: Graph, ctx: _LexContext | None, symmetry: bool = True):
         self.g = g
         self.ctx = ctx
         n = g.n
+        self.twin = _prev_twins(g) if symmetry else (0,) * n
+        self.leaders: dict[int, bool] = {}  # copy pattern (V2 << n_h | V1) -> _copy_is_leader
         cps: list[tuple[int, int, int]] = []
         for v in range(n):
             reach = g.closed[v]
@@ -604,6 +704,8 @@ class _WrdfSearch:
                 thr = ctx.copy_end[x]
                 cps.append((thr, _CP_CLOSURE, x))
                 cps.append((thr, _CP_OUTER, x))
+                if symmetry and ctx.h_auts:
+                    cps.append(((x + 1) * ctx.n_h - 1, _CP_AUT, x))
         cps.sort()
         self.cps = tuple(cps)
 
@@ -618,6 +720,7 @@ class _WrdfSearch:
         cps = self.cps
         ncp = len(cps)
         future_support = self.future_support
+        twin = self.twin
         ctx = self.ctx
         lookahead = None
         if ctx is not None:
@@ -630,6 +733,8 @@ class _WrdfSearch:
             n_g = ctx.n_g
             copy_end = ctx.copy_end
             closed_copy_mask = ctx.closed_copy_mask
+            h_auts = ctx.h_auts
+            leaders = self.leaders
             w = [0] * n_g
 
             def lookahead(e: int, rem: int) -> bool:
@@ -700,6 +805,17 @@ class _WrdfSearch:
                         total += w[y]
                     if total < 2:
                         return -1
+                elif kind == _CP_AUT:
+                    # copy x is decided: its pattern must be the least of
+                    # its images under Aut(H)
+                    p2 = m2 >> (x * n_h) & h_full
+                    p1 = m1 >> (x * n_h) & h_full
+                    pattern = p2 << n_h | p1
+                    leader = leaders.get(pattern)
+                    if leader is None:
+                        leader = leaders[pattern] = _copy_is_leader(p2, p1, h_auts)
+                    if not leader:
+                        return -1
                 else:  # _CP_OUTER
                     outer = 0
                     for y in nbr_copies[x]:
@@ -742,6 +858,8 @@ class _WrdfSearch:
                     elow = cand & -cand
                     cand ^= elow
                     e = elow.bit_length() - 1
+                    if twin[e] & ~(m2 | m1):
+                        continue
                     m1b = m1 | elow
                     c = closed[e]
                     if ctx is not None:
@@ -754,7 +872,7 @@ class _WrdfSearch:
                 return
             for e in range(start, n - slots + 1):
                 be = 1 << e
-                if m2 & be:
+                if m2 & be or twin[e] & ~(m2 | m1):
                     continue
                 m1b = m1 | be
                 c = closed[e]
@@ -775,6 +893,8 @@ class _WrdfSearch:
             yield from dfs_v1(0, m2, 0, t - 2 * size, 0, cov1, cov2)
             if size < t // 2:
                 for j in range(last + 1, n):
+                    if twin[j] & ~m2:
+                        continue
                     c = closed[j]
                     if ctx is not None:
                         w[copy_of[j]] += 2
@@ -828,18 +948,43 @@ def _pieces(g: Graph | ProductGraph, lex: bool) -> list[tuple[list[int], Graph, 
     return [(sorted(c), flat.induced(c) if len(comps) > 1 else flat, None, None) for c in comps]
 
 
-def _gamma_r_connected(search: _WrdfSearch, factor: Graph | None, cfg, counter) -> tuple[int, tuple[int, int]]:
+def _gamma_r_connected(search: _WrdfSearch, factor: Graph | None, counter: _Counter,
+                       cap: int | None) -> tuple[int, tuple[int, int]]:
     """(value, (m2, m1)) for a connected piece; ``factor`` is its first
     factor when ``search`` carries lexicographic structure."""
     if search.ctx is not None:
-        gr, _ = _gamma_r_connected(_WrdfSearch(factor, None), None, cfg, counter)
+        gr, _ = _gamma_r_connected(_WrdfSearch(factor, None), None, counter, cap)
         gt, _ = _solve_min_set(factor, "gamma_t", counter)
         rho, _ = _solve_rho(factor, counter)
         lo, hi = max(gr, gt, 2 * rho), search.g.n
     else:
         gamma, _ = _solve_min_set(search.g, "gamma", counter)
         lo, hi = gamma, 2 * gamma
-    return _lowest(lambda t: search.at_weight(t, counter), lo, hi, counter, cfg.max_weight)
+    return _lowest(lambda t: search.at_weight(t, counter), lo, hi, counter, cap)
+
+
+def _solve_pieces(pieces, cfg: SolverConfig, counter: _Counter, solve_piece) -> list:
+    """``solve_piece(piece, cap)`` -> (value, hit) on each piece in turn, with
+    ``max_weight`` and the budget error's ``lower`` taken over the whole graph.
+
+    Every piece has value at least 1.  So a piece may use what the cap
+    leaves after the solved pieces and 1 for each piece still to come, and a
+    budget error reports the solved values, the open piece's lower bound and
+    1 for each piece not yet started.
+    """
+    solved = 0
+    out = []
+    for i, piece in enumerate(pieces):
+        later = len(pieces) - 1 - i
+        cap = None if cfg.max_weight is None else cfg.max_weight - solved - later
+        counter.lower = 0
+        try:
+            val, hit = solve_piece(piece, cap)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(exc.invariant, solved + exc.lower + later, None) from None
+        solved += val
+        out.append((val, hit))
+    return out
 
 
 def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None = None) -> SolveResult:
@@ -854,28 +999,32 @@ def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None =
     flat = _flat(invariant, g)
     started = time.perf_counter()
     counter = _Counter(cfg.node_budget, invariant)
+
+    def solve_piece(piece, cap):
+        _, sub, factor, h = piece
+        if invariant == "gamma_r":
+            return _gamma_r_connected(_WrdfSearch(sub, _product_ctx(factor, h, cfg)), factor, counter, cap)
+        if invariant == "gamma_R":
+            gamma, _ = _solve_min_set(sub, "gamma", counter)
+            return _lowest(lambda t: _rdfs_at_weight(sub, t, counter), gamma, 2 * gamma, counter, cap)
+        if invariant == "rho":
+            return _solve_rho(sub, counter)
+        return _solve_min_set(sub, invariant, counter)
+
+    pieces = _pieces(g, lex=invariant == "gamma_r")
+    solved = _solve_pieces(pieces, cfg, counter, solve_piece)
     total = 0
     set_mask = 0
     m1_mask = 0
     m2_mask = 0
-    for verts, sub, factor, h in _pieces(g, lex=invariant == "gamma_r"):
-        if invariant == "gamma_r":
-            search = _WrdfSearch(sub, _product_ctx(factor, h, cfg))
-            val, (m2, m1) = _gamma_r_connected(search, factor, cfg, counter)
-        elif invariant == "gamma_R":
-            gamma, _ = _solve_min_set(sub, "gamma", counter)
-            val, (m2, m1) = _lowest(lambda t: _rdfs_at_weight(sub, t, counter), gamma, 2 * gamma,
-                                    counter, cfg.max_weight)
-        elif invariant == "rho":
-            val, mask = _solve_rho(sub, counter)
-        else:
-            val, mask = _solve_min_set(sub, invariant, counter)
+    for (verts, _, _, _), (val, hit) in zip(pieces, solved):
         total += val
         if invariant in FUNCTION_INVARIANTS:
+            m2, m1 = hit
             m1_mask |= _lift(m1, verts)
             m2_mask |= _lift(m2, verts)
         else:
-            set_mask |= _lift(mask, verts)
+            set_mask |= _lift(hit, verts)
 
     if invariant in FUNCTION_INVARIANTS:
         certificate: VertexSet | LegionFunction = LegionFunction(flat.n, m1_mask, m2_mask)
@@ -892,11 +1041,17 @@ def enumerate_optimal_wrdf(g: Graph | ProductGraph, config: SolverConfig | None 
     flat = _flat("gamma_r", g)
     counter = _Counter(cfg.node_budget, "gamma_r")
 
-    streams = []
-    for verts, sub, factor, h in _pieces(g, lex=True):
-        search = _WrdfSearch(sub, _product_ctx(factor, h, cfg))
-        val, _ = _gamma_r_connected(search, factor, cfg, counter)
-        streams.append((verts, search.at_weight(val, counter)))
+    def value_and_stream(piece, cap):
+        verts, sub, factor, h = piece
+        ctx = _product_ctx(factor, h, cfg)
+        val, _ = _gamma_r_connected(_WrdfSearch(sub, ctx), factor, counter, cap)
+        # the symmetry cuts keep only orbit minima, so the optima come from
+        # a search with them off
+        return val, (verts, _WrdfSearch(sub, ctx, symmetry=False).at_weight(val, counter))
+
+    solved = _solve_pieces(_pieces(g, lex=True), cfg, counter, value_and_stream)
+    counter.lower = sum(val for val, _ in solved)
+    streams = [stream for _, stream in solved]
 
     if len(streams) == 1:
         verts, stream = streams[0]

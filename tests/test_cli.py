@@ -61,6 +61,15 @@ def test_budget_exit_3():
     assert code == 3 and "budget exceeded" in err
 
 
+def test_max_weight_exit_3_on_two_components():
+    # P3 + P3 has value 4: the cap binds the sum, not each component
+    double = "6 4\n0 1\n1 2\n3 4\n4 5\n"
+    code, _, err = cli(["solve", "gamma_r", "--max-weight", "3"], stdin_text=double)
+    assert code == 3 and "budget exceeded" in err
+    code, out, _ = cli(["solve", "gamma_r", "--max-weight", "4", "--json"], stdin_text=double)
+    assert code == 0 and json.loads(out)["value"] == 4
+
+
 def test_oracle_subcommand():
     _, edge_list, _ = cli(["generate", "cycle", "4"])
     code, out, _ = cli(["oracle", "gamma_r", "--json"], stdin_text=edge_list)

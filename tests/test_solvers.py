@@ -265,7 +265,7 @@ def test_enumerate_matches_bruteforce():
 
 def test_enumerate_streams():
     # the first optimum comes out long before the whole list is built:
-    # listing every optimum needs about 36k nodes
+    # listing every optimum needs about 35k nodes
     g = lexicographic(gen.cycle(4), corona(gen.path(4), gen.empty(1)).graph)
     first = next(enumerate_optimal_wrdf(g, SolverConfig(node_budget=10_000)))
     assert first.weight == solve("gamma_r", g).value
@@ -291,7 +291,7 @@ def test_shard_determinism():
         assert len({r.certificate for r in results}) == 1
         assert len({r.nodes for r in results}) == 1
     # one node budget covers the whole search, so the verdict cannot depend
-    # on the shard count (P4oP10 needs 577 nodes)
+    # on the shard count (P4oP10 needs 343 nodes)
     lowers = set()
     for k in (1, 2, 8):
         with pytest.raises(BudgetExceededError) as exc:
@@ -320,6 +320,31 @@ def test_max_weight_cap():
         solve("gamma_R", gen.path(7), SolverConfig(max_weight=2))
     assert exc.value.lower == 3
     assert solve("gamma_R", gen.path(7), SolverConfig(max_weight=5)).value == 5
+
+
+def test_max_weight_caps_the_whole_graph():
+    double = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])  # P3 + P3, value 2 + 2
+    capped = SolverConfig(max_weight=3)
+    for invariant in ("gamma_r", "gamma_R"):
+        with pytest.raises(BudgetExceededError) as exc:
+            solve(invariant, double, capped)
+        assert exc.value.lower == 4
+        assert solve(invariant, double, SolverConfig(max_weight=4)).value == 4
+    with pytest.raises(BudgetExceededError) as exc:
+        next(enumerate_optimal_wrdf(double, capped))
+    assert exc.value.lower == 4
+
+
+def test_budget_lower_bound_covers_the_whole_graph():
+    # P8 + P8 has value 4 + 4: a budget error counts the solved piece, the
+    # open piece's bound and 1 for each piece not yet started
+    double = Graph.from_edges(16, [(i, i + 1) for i in (*range(7), *range(8, 15))])
+    lowers = []
+    for budget in (40, 60, 80):
+        with pytest.raises(BudgetExceededError) as exc:
+            solve("gamma_r", double, SolverConfig(node_budget=budget))
+        lowers.append(exc.value.lower)
+    assert lowers == [5, 7, 7]
 
 
 def test_product_route_agrees_with_blind_route():

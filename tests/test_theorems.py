@@ -13,6 +13,7 @@ from weakroman import (
     resolve_graph,
     solve,
     summary_table,
+    verify_all,
     verify_claim,
 )
 from weakroman import generators as gen
@@ -125,6 +126,22 @@ def test_verify_claim_holds_and_inapplicable():
 def test_verify_claim_budget():
     rep = verify_claim("cycle_lex", {"n": 5, "h": "empty:4"}, SolverConfig(node_budget=50))
     assert rep.verdict == "budget-exceeded"
+
+
+def test_star_leaf_claim_finishes_within_budget():
+    rep = verify_claim("star_leaf_4gamma", {"g": "fig6_spider", "h": "empty:4"},
+                       SolverConfig(node_budget=100_000))
+    assert rep.verdict == "holds" and rep.details["gamma_r_product"] == 12
+
+
+def test_verify_all_uncapped():
+    reports = verify_all()
+    assert len(reports) == 92
+    others = sorted((r.claim_id, r.instance, r.verdict) for r in reports if r.verdict != "holds")
+    assert others == [
+        ("hk_value", "h=empty:2 k=4 sizes=(1, 1, 1, 1)", "violated"),
+        ("p4_reduction", "g=cycle:6 h=empty:4 quad=(0, 1, 2, 3)", "violated"),
+    ]
 
 
 def test_p4_boundary_probe_is_violated_and_revalidates():
