@@ -11,10 +11,12 @@ on vertices that can no longer be covered.  The function-valued invariants
 iterate a target weight t upward from a computed lower bound and enumerate
 candidate (V2, V1) placements of that weight, rejecting candidates whose
 positive set cannot dominate before running the defence check.  When the
-input is a lexicographic product with a noncomplete second factor, two
-product-level facts tighten the search: every optimal function puts weight
-at least 2 on each closed copy neighbourhood, and a copy with no positive
-weight in its neighbouring copies must dominate its own copy internally.
+input is a lexicographic product with a noncomplete second factor, the
+weight starts at the product lower bound max(gamma_r(G), gamma_t(G),
+2 rho(G)) (the ``lex_lower_max`` claim), and a greedy lookahead prunes a
+placement once the legions left cannot bring each closed copy
+neighbourhood still open to weight 2, which every optimal function puts
+there (the ``copy_lemma`` claim).
 
 Every search is a generator that yields its hits in one fixed global
 order - the lexicographic order of (sorted V2, sorted V1) index sequences
@@ -260,10 +262,10 @@ class SolverConfig:
     ``shards`` is accepted and validated but has no effect: every search is
     one sequential generator.  ``max_weight`` caps the weight of ``gamma_r``
     and ``gamma_R``, summed over the components.  ``product_pruning``
-    enables the product-structure bound and the per-copy weight pruning on
-    lexicographic products; switching it off forces the structure-blind
-    search (used when the claims that justify those prunes are themselves
-    under test).
+    enables, on lexicographic products, the product lower bound, the
+    closed-copy-weight lookahead and the per-copy Aut(H) cut; switching it
+    off forces the structure-blind search (used when the claims that justify
+    those prunes are themselves under test).
     """
 
     shards: int = 1
@@ -332,7 +334,8 @@ def _lowest(search, lo: int, hi: int, counter: _Counter, cap: int | None = None)
     """(t, first hit) for the smallest t in lo..hi whose ``search(t)`` yields.
 
     ``cap`` (``max_weight``, for the function invariants) cuts hi short; a
-    search that runs past hi raises :class:`BudgetExceededError`.
+    search that runs past hi raises :class:`BudgetExceededError` with the
+    larger of the proven bounds lo and hi + 1.
     """
     if cap is not None:
         hi = min(hi, cap)
@@ -341,7 +344,7 @@ def _lowest(search, lo: int, hi: int, counter: _Counter, cap: int | None = None)
         hit = next(search(t), None)
         if hit is not None:
             return t, hit
-    raise BudgetExceededError(counter.invariant, hi + 1, None)
+    raise BudgetExceededError(counter.invariant, max(lo, hi + 1), None)
 
 
 def _defended(g: Graph, m2: int, m1: int, cov1: int, cov2: int) -> bool:
@@ -549,11 +552,8 @@ def _rdfs_at_weight(g: Graph, t: int, counter: _Counter):
 # Weak Roman domination: ordered exhaustive search at a fixed weight
 # ---------------------------------------------------------------------------
 
-_CP_DOM = 0
-_CP_CLOSURE = 1
-_CP_OUTER = 2
-_CP_DEFENSE = 3
-_CP_AUT = 4
+_CP_DEFENSE = 0
+_CP_AUT = 1
 
 
 def _prev_twins(g: Graph) -> tuple[int, ...]:
@@ -635,9 +635,7 @@ class _LexContext:
     nbr_copies: tuple[tuple[int, ...], ...]  # open factor neighbourhoods
     closed_copy_mask: tuple[int, ...]        # closed factor neighbourhoods, as copy bitmasks
     copy_end: tuple[int, ...]     # last flat index of the closed copy neighbourhood
-    h_closed: tuple[int, ...]     # closed neighbourhoods inside H
     h_full: int
-    h_prop_p: tuple[bool, ...]    # H-vertices whose closed-neighbourhood complement is a clique
     h_auts: tuple[tuple[int, ...], ...]  # _automorphisms(H), each acting on one copy at a time
 
 
@@ -654,9 +652,7 @@ def _product_ctx(factor: Graph | None, h: Graph | None, cfg: SolverConfig) -> _L
         nbr_copies=tuple(tuple(_bits(factor.adj[u])) for u in range(factor.n)),
         closed_copy_mask=factor.closed,
         copy_end=tuple((factor.closed[u].bit_length()) * nh - 1 for u in range(factor.n)),
-        h_closed=h.closed,
         h_full=(1 << nh) - 1,
-        h_prop_p=tuple(satisfies_property_p(h, a) for a in range(nh)),
         h_auts=_automorphisms(h),
     )
 
@@ -680,7 +676,6 @@ class _WrdfSearch:
         for v in range(n):
             reach = g.closed[v]
             thr1 = reach.bit_length() - 1
-            cps.append((thr1, _CP_DOM, v))
             ctx2 = reach
             for w in _bits(reach):
                 ctx2 |= g.closed[w]
@@ -699,13 +694,9 @@ class _WrdfSearch:
             for e in range(last):
                 support[e] |= 1 << v
         self.future_support = tuple(support)
-        if ctx is not None:
+        if ctx is not None and symmetry and ctx.h_auts:
             for x in range(ctx.n_g):
-                thr = ctx.copy_end[x]
-                cps.append((thr, _CP_CLOSURE, x))
-                cps.append((thr, _CP_OUTER, x))
-                if symmetry and ctx.h_auts:
-                    cps.append(((x + 1) * ctx.n_h - 1, _CP_AUT, x))
+                cps.append(((x + 1) * ctx.n_h - 1, _CP_AUT, x))
         cps.sort()
         self.cps = tuple(cps)
 
@@ -726,9 +717,7 @@ class _WrdfSearch:
         if ctx is not None:
             copy_of = ctx.copy_of
             nbr_copies = ctx.nbr_copies
-            h_closed = ctx.h_closed
             h_full = ctx.h_full
-            h_prop_p = ctx.h_prop_p
             n_h = ctx.n_h
             n_g = ctx.n_g
             copy_end = ctx.copy_end
@@ -778,34 +767,22 @@ class _WrdfSearch:
             while cp < ncp and cps[cp][0] <= e:
                 kind = cps[cp][1]
                 x = cps[cp][2]
-                if kind == _CP_DOM:
-                    if not cov1 >> x & 1:
-                        return -1
-                elif kind == _CP_DEFENSE:
-                    if not pos >> x & 1 and adj[x] & m2 == 0:
-                        if adj[x] & good:
-                            pass
-                        else:
-                            cand = adj[x] & m1
-                            if cand == 0:
-                                return -1
-                            cx = closed[x]
-                            ok = False
-                            while cand:
-                                ulow = cand & -cand
-                                if breakable & closed[ulow.bit_length() - 1] & ~cx == 0:
-                                    ok = True
-                                    break
-                                cand ^= ulow
-                            if not ok:
-                                return -1
-                elif kind == _CP_CLOSURE:
-                    total = w[x]
-                    for y in nbr_copies[x]:
-                        total += w[y]
-                    if total < 2:
-                        return -1
-                elif kind == _CP_AUT:
+                if kind == _CP_DEFENSE:
+                    if not pos >> x & 1 and adj[x] & m2 == 0 and not adj[x] & good:
+                        cand = adj[x] & m1
+                        if cand == 0:
+                            return -1
+                        cx = closed[x]
+                        ok = False
+                        while cand:
+                            ulow = cand & -cand
+                            if breakable & closed[ulow.bit_length() - 1] & ~cx == 0:
+                                ok = True
+                                break
+                            cand ^= ulow
+                        if not ok:
+                            return -1
+                else:  # _CP_AUT
                     # copy x is decided: its pattern must be the least of
                     # its images under Aut(H)
                     p2 = m2 >> (x * n_h) & h_full
@@ -816,27 +793,6 @@ class _WrdfSearch:
                         leader = leaders[pattern] = _copy_is_leader(p2, p1, h_auts)
                     if not leader:
                         return -1
-                else:  # _CP_OUTER
-                    outer = 0
-                    for y in nbr_copies[x]:
-                        outer += w[y]
-                    if outer == 0:
-                        # no outer support: the copy must dominate itself
-                        inner = (pos >> (x * n_h)) & h_full
-                        cover = 0
-                        while inner:
-                            zlow = inner & -inner
-                            cover |= h_closed[zlow.bit_length() - 1]
-                            inner ^= zlow
-                        if cover != h_full:
-                            return -1
-                    elif outer == 1 and w[x] == 1:
-                        # a lone inner legion plus a lone outer legion cannot
-                        # defend the copy unless the inner one sits on a
-                        # vertex whose non-neighbours pair-dominate H
-                        inner = (pos >> (x * n_h)) & h_full
-                        if not h_prop_p[inner.bit_length() - 1]:
-                            return -1
                 cp += 1
             return cp
 

@@ -302,6 +302,21 @@ def test_shard_determinism():
         SolverConfig(shards=0)
 
 
+# Node counts decide budget verdicts, so a change to the search that keeps
+# every value may still move them; these pin the gamma_r counts.
+@pytest.mark.parametrize("g, nodes", [
+    (lexicographic(gen.cycle(4), gen.path(10)), 1196),
+    (lexicographic(gen.cycle(4), corona(gen.path(4), gen.empty(1)).graph), 681),
+    (lexicographic(gen.cycle(5), gen.empty(4)), 162),
+    (lexicographic(gen.path(3), gen.cycle(6)), 65),
+    (gen.fig6_spider(), 1010),
+    (gen.cycle(8), 46),
+    (gen.path(10), 199),
+], ids=["C4oP10", "C4ocorona(P4,K1)", "C5oempty4", "P3oC6", "fig6_spider", "C8", "P10"])
+def test_gamma_r_node_counts(g, nodes):
+    assert solve("gamma_r", g).nodes == nodes
+
+
 def test_budget_exceeded_reports_interval():
     from weakroman import BudgetExceededError
 
@@ -320,6 +335,11 @@ def test_max_weight_cap():
         solve("gamma_R", gen.path(7), SolverConfig(max_weight=2))
     assert exc.value.lower == 3
     assert solve("gamma_R", gen.path(7), SolverConfig(max_weight=5)).value == 5
+    # a cap below the start weight gamma(P7) = 3 still reports that bound
+    for invariant in ("gamma_r", "gamma_R"):
+        with pytest.raises(BudgetExceededError) as exc:
+            solve(invariant, gen.path(7), SolverConfig(max_weight=1))
+        assert exc.value.lower == 3
 
 
 def test_max_weight_caps_the_whole_graph():
