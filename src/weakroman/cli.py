@@ -18,6 +18,8 @@ JSON outputs carry ``"schema": "1"`` and contain only deterministic fields;
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 
@@ -229,7 +231,10 @@ def _cmd_verify_cert(args, stdout, stdin) -> int:
     return EXIT_OK if ok else EXIT_USAGE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state in it, so every call of :func:`run` can share it."""
     parser = argparse.ArgumentParser(
         prog="weakroman",
         description="Exact weak Roman domination toolkit: generators, products, solvers, claim registry.",
@@ -304,9 +309,10 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     stdin = stdin if stdin is not None else sys.stdin
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors and --help to sys.stderr/sys.stdout
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

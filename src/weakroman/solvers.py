@@ -18,6 +18,15 @@ placement once the legions left cannot bring each closed copy
 neighbourhood still open to weight 2, which every optimal function puts
 there (the ``copy_lemma`` claim).
 
+Defence checkpoints.  The ``gamma_r`` search places legions in flat index
+order and checks a vertex's defence twice before the leaf: once its last
+possible defender is decided, and again once its whole two-step
+neighbourhood is.  Two prefix masks per index (the due masks) give the
+vertices whose check falls due up to that index, so a step from index d to
+e checks all of them at once as one mask.  One bitmask kernel,
+:func:`_defends`, runs those checks, the leaf test and the ``gamma_s``
+test.
+
 Every search is a generator that yields its hits in one fixed global
 order - the lexicographic order of (sorted V2, sorted V1) index sequences
 (or of the sorted set, for set invariants).  The first hit is the canonical
@@ -347,54 +356,49 @@ def _lowest(search, lo: int, hi: int, counter: _Counter, cap: int | None = None)
     raise BudgetExceededError(counter.invariant, max(lo, hi + 1), None)
 
 
+def _defends(adj, closed, check: int, m2: int, m1: int, breakable: int) -> bool:
+    """Whether every vertex of ``check`` outside V1 | V2 can take a legion
+    from a neighbour and leave every ``breakable`` vertex dominated.
+
+    ``breakable`` holds the vertices covered exactly once, by a cover that
+    cannot change any more.  A V0 vertex v next to V2 is safe.  Otherwise v
+    needs a V1 neighbour u such that every breakable vertex of N[u] but u
+    (which the arriving legion re-covers) lies in N[v].  This is the one
+    defence loop of every search: it works on masks, one pass over V2 and
+    one over the movers in V1, each clearing the victims it defends.
+    """
+    victims = check & ~(m2 | m1)
+    rest = m2
+    while rest and victims:
+        low = rest & -rest
+        victims &= ~adj[low.bit_length() - 1]
+        rest ^= low
+    rest = m1
+    while rest and victims:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        rest ^= low
+        # the victims u can defend: neighbours whose closed neighbourhood
+        # holds every breakable vertex of N[u] but u
+        d = adj[u] & victims
+        bu = breakable & closed[u] & ~low
+        while bu and d:
+            wlow = bu & -bu
+            d &= closed[wlow.bit_length() - 1]
+            bu ^= wlow
+        victims &= ~d
+    return not victims
+
+
 def _defended(g: Graph, m2: int, m1: int, cov1: int, cov2: int) -> bool:
     """Whether the placement (V2, V1) = (m2, m1) dominates and defends.
 
     ``cov1``/``cov2`` are the vertices covered at least once/twice by the
-    closed neighbourhoods of V1 | V2.  A V0 vertex v next to V2 is safe; any
-    other needs a V1 neighbour u such that every vertex only u covers lies
-    in N[v], so moving u's legion to v leaves everything dominated.  With
-    V2 empty this is the secure domination test.
+    closed neighbourhoods of V1 | V2.  With V2 empty this is the secure
+    domination test.
     """
     full = (1 << g.n) - 1
-    if cov1 != full:
-        return False
-    adj = g.adj
-    closed = g.closed
-    unique = cov1 & ~cov2
-    safe = 0
-    rest = m2
-    while rest:
-        low = rest & -rest
-        safe |= adj[low.bit_length() - 1]
-        rest ^= low
-    good = m1  # movers whose removal breaks nothing (the mover itself
-    rest = m1  # is always re-covered by the arriving legion)
-    while rest:
-        low = rest & -rest
-        if unique & closed[low.bit_length() - 1] & ~low:
-            good &= ~low
-        rest ^= low
-    rest = full & ~(m2 | m1) & ~safe
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest ^= low
-        av = adj[v]
-        if av & good:
-            continue
-        cv = closed[v]
-        ok = False
-        cand = av & m1
-        while cand:
-            ulow = cand & -cand
-            if unique & closed[ulow.bit_length() - 1] & ~cv == 0:
-                ok = True
-                break
-            cand ^= ulow
-        if not ok:
-            return False
-    return True
+    return cov1 == full and _defends(g.adj, g.closed, full, m2, m1, cov1 & ~cov2)
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +556,6 @@ def _rdfs_at_weight(g: Graph, t: int, counter: _Counter):
 # Weak Roman domination: ordered exhaustive search at a fixed weight
 # ---------------------------------------------------------------------------
 
-_CP_DEFENSE = 0
-_CP_AUT = 1
-
-
 def _prev_twins(g: Graph) -> tuple[int, ...]:
     """For each vertex, the bit of its previous twin - the largest smaller
     index with an equal open or an equal closed neighbourhood - or 0.
@@ -659,8 +659,16 @@ def _product_ctx(factor: Graph | None, h: Graph | None, cfg: SolverConfig) -> _L
 
 class _WrdfSearch:
     """Weak Roman dominating functions of one connected piece, weight by
-    weight, in canonical (sorted V2, sorted V1) order.  The checkpoint
-    tables depend on the graph alone, so they serve every weight.
+    weight, in canonical (sorted V2, sorted V1) order.
+
+    The search carries how many flat indices it has checked.  Placing a
+    legion at index e checks, through :func:`_defends`, every vertex whose
+    first or second defence threshold lies in the indices not yet checked
+    (``due1``/``due2`` hold them as prefix masks), and runs the per-copy
+    Aut(H) cut of each copy whose last index lies there.  Every check is a
+    function of the placement alone, so checking a window at once prunes
+    exactly what one check at a time would.  The tables depend on the graph
+    alone, so they serve every weight.
 
     With ``symmetry`` the search keeps only functions that pass the twin
     rule and, on a lexicographic product, the per-copy Aut(H) cut (see the
@@ -672,33 +680,27 @@ class _WrdfSearch:
         n = g.n
         self.twin = _prev_twins(g) if symmetry else (0,) * n
         self.leaders: dict[int, bool] = {}  # copy pattern (V2 << n_h | V1) -> _copy_is_leader
-        cps: list[tuple[int, int, int]] = []
+        # A vertex's defence is checked once its defenders are decided
+        # (sound but optimistic about undecided victims) and again once its
+        # whole two-step context is decided: due1[k] / due2[k] hold the
+        # vertices whose first / second threshold lies below flat index k,
+        # so due1[k] is also the set with no coverer at index k or above.
+        due1 = [0] * (n + 1)
+        due2 = [0] * (n + 1)
         for v in range(n):
             reach = g.closed[v]
-            thr1 = reach.bit_length() - 1
             ctx2 = reach
             for w in _bits(reach):
                 ctx2 |= g.closed[w]
-            thr2 = ctx2.bit_length() - 1
-            # defence fires once when the defenders are decided (sound but
-            # optimistic about undecided victims) and again when the whole
-            # two-step context is decided
-            cps.append((thr1, _CP_DEFENSE, v))
-            if thr2 != thr1:
-                cps.append((thr2, _CP_DEFENSE, v))
-        # future_support[e] = vertices that may still gain a coverer from an
-        # index above e (conservatively ignoring V2 membership)
-        support = [0] * n
-        for v in range(n):
-            last = g.closed[v].bit_length() - 1
-            for e in range(last):
-                support[e] |= 1 << v
-        self.future_support = tuple(support)
-        if ctx is not None and symmetry and ctx.h_auts:
-            for x in range(ctx.n_g):
-                cps.append(((x + 1) * ctx.n_h - 1, _CP_AUT, x))
-        cps.sort()
-        self.cps = tuple(cps)
+            due1[reach.bit_length()] |= 1 << v
+            due2[ctx2.bit_length()] |= 1 << v
+        for k in range(n):
+            due1[k + 1] |= due1[k]
+            due2[k + 1] |= due2[k]
+        self.due1 = tuple(due1)
+        self.due2 = tuple(due2)
+        # copy x is decided, and its Aut(H) cut due, at flat index (x + 1) n_h - 1
+        self.aut_cut = ctx is not None and symmetry and bool(ctx.h_auts)
 
     def at_weight(self, t: int, counter: _Counter):
         """Generator of the (m2, m1) of weight exactly t, rooted at the
@@ -708,9 +710,9 @@ class _WrdfSearch:
         adj = g.adj
         closed = g.closed
         full = (1 << n) - 1
-        cps = self.cps
-        ncp = len(cps)
-        future_support = self.future_support
+        due1 = self.due1
+        due2 = self.due2
+        aut_cut = self.aut_cut
         twin = self.twin
         ctx = self.ctx
         lookahead = None
@@ -747,42 +749,12 @@ class _WrdfSearch:
                         used |= cm
                 return True
 
-        def advance(cp: int, e: int, m2: int, m1: int, rem: int, cov1: int, cov2: int) -> int:
-            """Run checkpoints with threshold <= e; -1 means prune."""
-            if cp >= ncp or cps[cp][0] > e:
-                return cp
-            pos = m2 | m1
-            # vertices whose unique cover is certain never to change
-            breakable = cov1 & ~cov2
-            if rem > 0:
-                breakable &= ~future_support[e]
-            good = m1  # movers that surely break nothing anywhere
-            if breakable:
-                rest = m1
-                while rest:
-                    low = rest & -rest
-                    if breakable & closed[low.bit_length() - 1] & ~low:
-                        good &= ~low
-                    rest ^= low
-            while cp < ncp and cps[cp][0] <= e:
-                kind = cps[cp][1]
-                x = cps[cp][2]
-                if kind == _CP_DEFENSE:
-                    if not pos >> x & 1 and adj[x] & m2 == 0 and not adj[x] & good:
-                        cand = adj[x] & m1
-                        if cand == 0:
-                            return -1
-                        cx = closed[x]
-                        ok = False
-                        while cand:
-                            ulow = cand & -cand
-                            if breakable & closed[ulow.bit_length() - 1] & ~cx == 0:
-                                ok = True
-                                break
-                            cand ^= ulow
-                        if not ok:
-                            return -1
-                else:  # _CP_AUT
+        def advance(done: int, e: int, m2: int, m1: int, rem: int, cov1: int, cov2: int) -> int:
+            """Run the checkpoints due at flat indices done..e (the first
+            ``done`` indices are checked already); e + 1, or -1 to prune."""
+            nxt = e + 1
+            if aut_cut:
+                for x in range(done // n_h, nxt // n_h):
                     # copy x is decided: its pattern must be the least of
                     # its images under Aut(H)
                     p2 = m2 >> (x * n_h) & h_full
@@ -793,10 +765,18 @@ class _WrdfSearch:
                         leader = leaders[pattern] = _copy_is_leader(p2, p1, h_auts)
                     if not leader:
                         return -1
-                cp += 1
-            return cp
+            check = (due1[nxt] & ~due1[done]) | (due2[nxt] & ~due2[done])
+            if check & ~(m2 | m1):
+                # vertices whose unique cover is certain never to change:
+                # with legions left, those with no coverer above e (due1)
+                breakable = cov1 & ~cov2
+                if rem > 0:
+                    breakable &= due1[nxt]
+                if not _defends(adj, closed, check, m2, m1, breakable):
+                    return -1
+            return nxt
 
-        def dfs_v1(start: int, m2: int, m1: int, slots: int, cp: int, cov1: int, cov2: int):
+        def dfs_v1(start: int, m2: int, m1: int, slots: int, done: int, cov1: int, cov2: int):
             counter.tick()
             if slots == 0:
                 if _defended(g, m2, m1, cov1, cov2):
@@ -820,9 +800,9 @@ class _WrdfSearch:
                     c = closed[e]
                     if ctx is not None:
                         w[copy_of[e]] += 1
-                    cp2 = advance(cp, e, m2, m1b, 0, cov1 | c, cov2 | (cov1 & c))
-                    if cp2 >= 0:
-                        yield from dfs_v1(e + 1, m2, m1b, 0, cp2, cov1 | c, cov2 | (cov1 & c))
+                    done2 = advance(done, e, m2, m1b, 0, cov1 | c, cov2 | (cov1 & c))
+                    if done2 >= 0:
+                        yield from dfs_v1(e + 1, m2, m1b, 0, done2, cov1 | c, cov2 | (cov1 & c))
                     if ctx is not None:
                         w[copy_of[e]] -= 1
                 return
@@ -836,9 +816,9 @@ class _WrdfSearch:
                 nc1 = cov1 | c
                 if ctx is not None:
                     w[copy_of[e]] += 1
-                cp2 = advance(cp, e, m2, m1b, slots - 1, nc1, nc2)
-                if cp2 >= 0 and (lookahead is None or lookahead(e, slots - 1)):
-                    yield from dfs_v1(e + 1, m2, m1b, slots - 1, cp2, nc1, nc2)
+                done2 = advance(done, e, m2, m1b, slots - 1, nc1, nc2)
+                if done2 >= 0 and (lookahead is None or lookahead(e, slots - 1)):
+                    yield from dfs_v1(e + 1, m2, m1b, slots - 1, done2, nc1, nc2)
                 if ctx is not None:
                     w[copy_of[e]] -= 1
 

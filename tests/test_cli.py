@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,35 @@ def test_malformed_input_line_diagnostic():
 def test_unknown_flag_rejected():
     code, _, _ = cli(["solve", "gamma_r", "--nonsense"])
     assert code == 2
+
+
+def test_parser_messages_go_to_the_given_streams():
+    # one process, one shared parser: each call writes to its own streams
+    code, out, err = cli(["solve", "nosuch", "--json"])
+    assert code == 2 and out == ""
+    assert "usage: weakroman solve" in err and "invalid choice: 'nosuch'" in err
+    code, out, err = cli(["solve", "gamma_r", "--json"], stdin_text="3 2\n0 1\n1 2\n")
+    assert code == 0 and err == "" and json.loads(out)["value"] == 2
+    code, out, err = cli(["--help"])
+    assert code == 0 and err == "" and out.startswith("usage: weakroman")
+    code, out, err = cli(["solve", "--help"])
+    assert code == 0 and err == "" and "--max-weight" in out
+
+
+def test_python_dash_m_pipeline():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def module(*args, stdin_text=""):
+        return subprocess.run([sys.executable, "-m", "weakroman", *args], input=stdin_text, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    generated = module("generate", "path", "7")
+    assert generated.returncode == 0
+    solved = module("solve", "gamma_r", "--json", stdin_text=generated.stdout)
+    assert solved.returncode == 0
+    assert json.loads(solved.stdout)["value"] == 3
+    bad = module("solve", "nosuch")
+    assert bad.returncode == 2 and bad.stdout == "" and "invalid choice: 'nosuch'" in bad.stderr
 
 
 def test_budget_exit_3():

@@ -312,7 +312,9 @@ def test_shard_determinism():
     (gen.fig6_spider(), 1010),
     (gen.cycle(8), 46),
     (gen.path(10), 199),
-], ids=["C4oP10", "C4ocorona(P4,K1)", "C5oempty4", "P3oC6", "fig6_spider", "C8", "P10"])
+    (lexicographic(gen.cycle(5), gen.path(10)), 24479),
+    (lexicographic(gen.comb(5), gen.path(10)), 56789),
+], ids=["C4oP10", "C4ocorona(P4,K1)", "C5oempty4", "P3oC6", "fig6_spider", "C8", "P10", "C5oP10", "comb5oP10"])
 def test_gamma_r_node_counts(g, nodes):
     assert solve("gamma_r", g).nodes == nodes
 
