@@ -24,8 +24,12 @@ possible defender is decided, and again once its whole two-step
 neighbourhood is.  Two prefix masks per index (the due masks) give the
 vertices whose check falls due up to that index, so a step from index d to
 e checks all of them at once as one mask.  One bitmask kernel,
-:func:`_defends`, runs those checks, the leaf test and the ``gamma_s``
-test.
+:func:`_undefended`, runs those checks, the leaf test and the ``gamma_s``
+test; it returns the undefended vertices, and memoises the meet of the
+closed neighbourhoods that each breakable mask asks a mover to reach.
+Each node stops its candidates at a horizon past which every check is
+known to fail, and the last legion's checks and the leaf test are one
+kernel call.
 
 Every search is a generator that yields its hits in one fixed global
 order - the lexicographic order of (sorted V2, sorted V1) index sequences
@@ -89,12 +93,11 @@ FUNCTION_INVARIANTS = ("gamma_R", "gamma_r")
 class BudgetExceededError(RuntimeError):
     """Search stopped by a resource cap; carries the proven interval."""
 
-    def __init__(self, invariant: str, lower: int, upper: int | None):
+    def __init__(self, invariant: str, lower: int, upper: int):
         self.invariant = invariant
         self.lower = lower
         self.upper = upper
-        hi = "?" if upper is None else str(upper)
-        super().__init__(f"budget exceeded solving {invariant}: value in [{lower}, {hi}]")
+        super().__init__(f"budget exceeded solving {invariant}: value in [{lower}, {upper}]")
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +328,28 @@ class SolveResult:
 
 
 class _Counter:
-    __slots__ = ("nodes", "budget", "invariant", "lower")
+    """The node budget, and the interval a budget error reports.
 
-    def __init__(self, budget, invariant):
+    ``lower`` and ``upper`` are the bounds a budget error raised here
+    carries; :func:`_solve_pieces` widens them to the whole graph.
+    ``witness`` is (graph, f): a legion function that bounds the open piece
+    from above, once one is known.  It is re-checked only if a budget error
+    is raised."""
+
+    __slots__ = ("nodes", "budget", "invariant", "lower", "upper", "witness")
+
+    def __init__(self, budget, invariant, upper: int):
         self.nodes = 0
         self.budget = budget
         self.invariant = invariant
         self.lower = 0
+        self.upper = upper
+        self.witness = None
 
     def tick(self):
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExceededError(self.invariant, self.lower, None)
+            raise BudgetExceededError(self.invariant, self.lower, self.upper)
 
 
 def _lowest(search, lo: int, hi: int, counter: _Counter, cap: int | None = None):
@@ -353,11 +366,11 @@ def _lowest(search, lo: int, hi: int, counter: _Counter, cap: int | None = None)
         hit = next(search(t), None)
         if hit is not None:
             return t, hit
-    raise BudgetExceededError(counter.invariant, max(lo, hi + 1), None)
+    raise BudgetExceededError(counter.invariant, max(lo, hi + 1), counter.upper)
 
 
-def _defends(adj, closed, check: int, m2: int, m1: int, breakable: int) -> bool:
-    """Whether every vertex of ``check`` outside V1 | V2 can take a legion
+def _undefended(adj, closed, check: int, m2: int, m1: int, breakable: int, common: dict) -> int:
+    """The vertices of ``check`` outside V1 | V2 that cannot take a legion
     from a neighbour and leave every ``breakable`` vertex dominated.
 
     ``breakable`` holds the vertices covered exactly once, by a cover that
@@ -365,7 +378,13 @@ def _defends(adj, closed, check: int, m2: int, m1: int, breakable: int) -> bool:
     needs a V1 neighbour u such that every breakable vertex of N[u] but u
     (which the arriving legion re-covers) lies in N[v].  This is the one
     defence loop of every search: it works on masks, one pass over V2 and
-    one over the movers in V1, each clearing the victims it defends.
+    one over the movers in V1, each clearing the victims it defends.  Each
+    vertex's verdict depends on the placement alone, so the result for
+    ``check`` is the result for every vertex, masked by ``check``.
+
+    ``common`` memoises, per mask bu of the breakable vertices of N[u] but
+    u, the meet of their closed neighbourhoods; u defends its neighbours
+    that lie in it.  A dict serves one graph; the searches keep one each.
     """
     victims = check & ~(m2 | m1)
     rest = m2
@@ -378,27 +397,29 @@ def _defends(adj, closed, check: int, m2: int, m1: int, breakable: int) -> bool:
         low = rest & -rest
         u = low.bit_length() - 1
         rest ^= low
-        # the victims u can defend: neighbours whose closed neighbourhood
-        # holds every breakable vertex of N[u] but u
         d = adj[u] & victims
-        bu = breakable & closed[u] & ~low
-        while bu and d:
-            wlow = bu & -bu
-            d &= closed[wlow.bit_length() - 1]
-            bu ^= wlow
-        victims &= ~d
-    return not victims
+        if d:
+            bu = breakable & closed[u] & ~low
+            meet = common.get(bu)
+            if meet is None:
+                meet = -1
+                for w in _bits(bu):
+                    meet &= closed[w]
+                common[bu] = meet
+            victims &= ~(d & meet)
+    return victims
 
 
-def _defended(g: Graph, m2: int, m1: int, cov1: int, cov2: int) -> bool:
+def _defended(g: Graph, m2: int, m1: int, cov1: int, cov2: int, common: dict) -> bool:
     """Whether the placement (V2, V1) = (m2, m1) dominates and defends.
 
     ``cov1``/``cov2`` are the vertices covered at least once/twice by the
-    closed neighbourhoods of V1 | V2.  With V2 empty this is the secure
+    closed neighbourhoods of V1 | V2, and ``common`` is the memo of
+    :func:`_undefended` for ``g``.  With V2 empty this is the secure
     domination test.
     """
     full = (1 << g.n) - 1
-    return cov1 == full and _defends(g.adj, g.closed, full, m2, m1, cov1 & ~cov2)
+    return cov1 == full and not _undefended(g.adj, g.closed, full, m2, m1, cov1 & ~cov2, common)
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +443,13 @@ def _min_sets(g: Graph, k: int, kind: str, counter: _Counter):
     thresholds = [coverers[v].bit_length() - 1 for v in order]
     double = kind == "gamma_2t"
     secure = kind == "gamma_s"
+    common: dict[int, int] = {}
 
     def rec(start: int, mask: int, once: int, twice: int, slots: int, cp: int):
         counter.tick()
         if slots == 0:
             if secure:
-                if _defended(g, 0, mask, once, twice):
+                if _defended(g, 0, mask, once, twice, common):
                     yield mask
             elif (twice if double else once) == full:
                 yield mask
@@ -461,7 +483,7 @@ def minimum_dominating_sets(g: Graph | ProductGraph, config: SolverConfig | None
     """Every minimum dominating set, ascending lexicographic order."""
     cfg = config or SolverConfig()
     flat = _flat("gamma", g)
-    counter = _Counter(cfg.node_budget, "gamma")
+    counter = _Counter(cfg.node_budget, "gamma", flat.n)
     per_comp = []
     for verts, sub, _, _ in _pieces(g, lex=False):
         k, _ = _solve_min_set(sub, "gamma", counter)
@@ -631,8 +653,7 @@ class _LexContext:
 
     n_g: int
     n_h: int
-    copy_of: tuple[int, ...]      # flat vertex -> factor-G vertex
-    nbr_copies: tuple[tuple[int, ...], ...]  # open factor neighbourhoods
+    copy_nbhd: tuple[tuple[int, ...], ...]   # flat vertex -> closed factor neighbourhood of its copy
     closed_copy_mask: tuple[int, ...]        # closed factor neighbourhoods, as copy bitmasks
     copy_end: tuple[int, ...]     # last flat index of the closed copy neighbourhood
     h_full: int
@@ -648,8 +669,7 @@ def _product_ctx(factor: Graph | None, h: Graph | None, cfg: SolverConfig) -> _L
     return _LexContext(
         n_g=factor.n,
         n_h=nh,
-        copy_of=tuple(i // nh for i in range(factor.n * nh)),
-        nbr_copies=tuple(tuple(_bits(factor.adj[u])) for u in range(factor.n)),
+        copy_nbhd=tuple(tuple(_bits(factor.closed[i // nh])) for i in range(factor.n * nh)),
         closed_copy_mask=factor.closed,
         copy_end=tuple((factor.closed[u].bit_length()) * nh - 1 for u in range(factor.n)),
         h_full=(1 << nh) - 1,
@@ -662,13 +682,23 @@ class _WrdfSearch:
     weight, in canonical (sorted V2, sorted V1) order.
 
     The search carries how many flat indices it has checked.  Placing a
-    legion at index e checks, through :func:`_defends`, every vertex whose
+    legion at index e checks, through :func:`_undefended`, every vertex whose
     first or second defence threshold lies in the indices not yet checked
     (``due1``/``due2`` hold them as prefix masks), and runs the per-copy
-    Aut(H) cut of each copy whose last index lies there.  Every check is a
+    Aut(H) cut of e's copy if e is its last index.  Every check is a
     function of the placement alone, so checking a window at once prunes
-    exactly what one check at a time would.  The tables depend on the graph
-    alone, so they serve every weight.
+    exactly what one check at a time would.  The tables, the Aut(H) leader
+    memo and the kernel's memo (``common``) depend on the graph alone, so
+    they serve every weight.
+
+    Each node first computes its horizon: the index from which every
+    placement must fail, because a vertex still uncovered has no coverer
+    left there, or because a copy that would be decided there already
+    fails its Aut(H) cut.  Its candidate loops stop at the horizon, which
+    cuts no node that the checks would not.  The last legion's checks are
+    folded into the leaf: one kernel call over every vertex gives the
+    undefended set, and the candidate is a node if that set misses the
+    window just checked, and a hit if it is empty.
 
     With ``symmetry`` the search keeps only functions that pass the twin
     rule and, on a lexicographic product, the per-copy Aut(H) cut (see the
@@ -680,6 +710,7 @@ class _WrdfSearch:
         n = g.n
         self.twin = _prev_twins(g) if symmetry else (0,) * n
         self.leaders: dict[int, bool] = {}  # copy pattern (V2 << n_h | V1) -> _copy_is_leader
+        self.common: dict[int, int] = {}  # the memo of _undefended
         # A vertex's defence is checked once its defenders are decided
         # (sound but optimistic about undecided victims) and again once its
         # whole two-step context is decided: due1[k] / due2[k] hold the
@@ -714,11 +745,12 @@ class _WrdfSearch:
         due2 = self.due2
         aut_cut = self.aut_cut
         twin = self.twin
+        common = self.common
         ctx = self.ctx
         lookahead = None
+        copy_nbhd = ((),) * n  # the closed copy neighbourhoods whose weight a legion at e adds to
         if ctx is not None:
-            copy_of = ctx.copy_of
-            nbr_copies = ctx.nbr_copies
+            copy_nbhd = ctx.copy_nbhd
             h_full = ctx.h_full
             n_h = ctx.n_h
             n_g = ctx.n_g
@@ -726,7 +758,7 @@ class _WrdfSearch:
             closed_copy_mask = ctx.closed_copy_mask
             h_auts = ctx.h_auts
             leaders = self.leaders
-            w = [0] * n_g
+            w = [0] * n_g  # the weight placed on each closed copy neighbourhood
 
             def lookahead(e: int, rem: int) -> bool:
                 # greedy disjoint lower bound on the weight that still has
@@ -739,53 +771,67 @@ class _WrdfSearch:
                     cm = closed_copy_mask[x]
                     if cm & used:
                         continue
-                    total = w[x]
-                    for y in nbr_copies[x]:
-                        total += w[y]
-                    if total < 2:
-                        need += 2 - total
+                    if w[x] < 2:
+                        need += 2 - w[x]
                         if need > rem:
                             return False
                         used |= cm
                 return True
 
-        def advance(done: int, e: int, m2: int, m1: int, rem: int, cov1: int, cov2: int) -> int:
-            """Run the checkpoints due at flat indices done..e (the first
-            ``done`` indices are checked already); e + 1, or -1 to prune."""
+            def is_leader(x: int, m2: int, m1: int) -> bool:
+                # copy x's pattern is the least of its images under Aut(H)
+                p2 = m2 >> (x * n_h) & h_full
+                p1 = m1 >> (x * n_h) & h_full
+                pattern = p2 << n_h | p1
+                leader = leaders.get(pattern)
+                if leader is None:
+                    leader = leaders[pattern] = _copy_is_leader(p2, p1, h_auts)
+                return leader
+
+        def advance(start: int, e: int, m2: int, m1: int, rem: int, cov1: int, cov2: int) -> bool:
+            """Whether the checkpoints due at flat indices start..e pass (the
+            first ``start`` indices are checked already, and the horizon
+            has passed every copy that ends before e)."""
             nxt = e + 1
-            if aut_cut:
-                for x in range(done // n_h, nxt // n_h):
-                    # copy x is decided: its pattern must be the least of
-                    # its images under Aut(H)
-                    p2 = m2 >> (x * n_h) & h_full
-                    p1 = m1 >> (x * n_h) & h_full
-                    pattern = p2 << n_h | p1
-                    leader = leaders.get(pattern)
-                    if leader is None:
-                        leader = leaders[pattern] = _copy_is_leader(p2, p1, h_auts)
-                    if not leader:
-                        return -1
-            check = (due1[nxt] & ~due1[done]) | (due2[nxt] & ~due2[done])
+            if aut_cut and nxt % n_h == 0 and not is_leader(e // n_h, m2, m1):
+                return False
+            check = (due1[nxt] & ~due1[start]) | (due2[nxt] & ~due2[start])
             if check & ~(m2 | m1):
                 # vertices whose unique cover is certain never to change:
                 # with legions left, those with no coverer above e (due1)
                 breakable = cov1 & ~cov2
                 if rem > 0:
                     breakable &= due1[nxt]
-                if not _defends(adj, closed, check, m2, m1, breakable):
-                    return -1
-            return nxt
+                return not _undefended(adj, closed, check, m2, m1, breakable, common)
+            return True
 
-        def dfs_v1(start: int, m2: int, m1: int, slots: int, done: int, cov1: int, cov2: int):
+        def dfs_v1(start: int, m2: int, m1: int, slots: int, cov1: int, cov2: int):
             counter.tick()
             if slots == 0:
-                if _defended(g, m2, m1, cov1, cov2):
+                if _defended(g, m2, m1, cov1, cov2, common):
                     yield m2, m1
                 return
+            # the horizon: the least k with an uncovered vertex in due1[k],
+            # which has no coverer from k on (due1[start] holds none, or
+            # advance would have failed) ...
+            uncov = full & ~cov1
+            lo, lim = start, n
+            while uncov and lim - lo > 1:
+                mid = (lo + lim) >> 1
+                if due1[mid] & uncov:
+                    lim = mid
+                else:
+                    lo = mid
+            # ... or the end of the first copy, from start's on, whose
+            # pattern is no Aut(H) leader as it stands
+            if aut_cut:
+                x = start // n_h
+                while x * n_h < lim and is_leader(x, m2, m1):
+                    x += 1
+                lim = min(lim, (x + 1) * n_h)
             if slots == 1:
                 # the last legion must cover everything still uncovered
-                cand = full & ~((1 << start) - 1) & ~m2 & ~m1
-                uncov = full & ~cov1
+                cand = full & ~((1 << start) - 1) & ((1 << lim) - 1) & ~m2 & ~m1
                 while uncov and cand:
                     low = uncov & -uncov
                     cand &= closed[low.bit_length() - 1]
@@ -797,16 +843,20 @@ class _WrdfSearch:
                     if twin[e] & ~(m2 | m1):
                         continue
                     m1b = m1 | elow
+                    nxt = e + 1
+                    if aut_cut and nxt % n_h == 0 and not is_leader(e // n_h, m2, m1b):
+                        continue
+                    # every vertex is covered now; advance's defence check
+                    # is the leaf test masked by its window
                     c = closed[e]
-                    if ctx is not None:
-                        w[copy_of[e]] += 1
-                    done2 = advance(done, e, m2, m1b, 0, cov1 | c, cov2 | (cov1 & c))
-                    if done2 >= 0:
-                        yield from dfs_v1(e + 1, m2, m1b, 0, done2, cov1 | c, cov2 | (cov1 & c))
-                    if ctx is not None:
-                        w[copy_of[e]] -= 1
+                    bad = _undefended(adj, closed, full, m2, m1b, full & ~(cov2 | (cov1 & c)), common)
+                    if bad & ((due1[nxt] & ~due1[start]) | (due2[nxt] & ~due2[start])):
+                        continue
+                    counter.tick()
+                    if not bad:
+                        yield m2, m1b
                 return
-            for e in range(start, n - slots + 1):
+            for e in range(start, min(n - slots + 1, lim)):
                 be = 1 << e
                 if m2 & be or twin[e] & ~(m2 | m1):
                     continue
@@ -814,29 +864,30 @@ class _WrdfSearch:
                 c = closed[e]
                 nc2 = cov2 | (cov1 & c)
                 nc1 = cov1 | c
-                if ctx is not None:
-                    w[copy_of[e]] += 1
-                done2 = advance(done, e, m2, m1b, slots - 1, nc1, nc2)
-                if done2 >= 0 and (lookahead is None or lookahead(e, slots - 1)):
-                    yield from dfs_v1(e + 1, m2, m1b, slots - 1, done2, nc1, nc2)
-                if ctx is not None:
-                    w[copy_of[e]] -= 1
+                if not advance(start, e, m2, m1b, slots - 1, nc1, nc2):
+                    continue
+                for x in copy_nbhd[e]:
+                    w[x] += 1
+                if lookahead is None or lookahead(e, slots - 1):
+                    yield from dfs_v1(e + 1, m2, m1b, slots - 1, nc1, nc2)
+                for x in copy_nbhd[e]:
+                    w[x] -= 1
 
         def v2_node(last: int, m2: int, size: int, cov1: int, cov2: int):
             counter.tick()
             if lookahead is not None and not lookahead(-1, t - 2 * size):
                 return
-            yield from dfs_v1(0, m2, 0, t - 2 * size, 0, cov1, cov2)
+            yield from dfs_v1(0, m2, 0, t - 2 * size, cov1, cov2)
             if size < t // 2:
                 for j in range(last + 1, n):
                     if twin[j] & ~m2:
                         continue
                     c = closed[j]
-                    if ctx is not None:
-                        w[copy_of[j]] += 2
+                    for x in copy_nbhd[j]:
+                        w[x] += 2
                     yield from v2_node(j, m2 | (1 << j), size + 1, cov1 | c, cov2 | (cov1 & c))
-                    if ctx is not None:
-                        w[copy_of[j]] -= 2
+                    for x in copy_nbhd[j]:
+                        w[x] -= 2
 
         return v2_node(-1, 0, 0, 0, 0)
 
@@ -887,37 +938,59 @@ def _pieces(g: Graph | ProductGraph, lex: bool) -> list[tuple[list[int], Graph, 
 def _gamma_r_connected(search: _WrdfSearch, factor: Graph | None, counter: _Counter,
                        cap: int | None) -> tuple[int, tuple[int, int]]:
     """(value, (m2, m1)) for a connected piece; ``factor`` is its first
-    factor when ``search`` carries lexicographic structure."""
+    factor when ``search`` carries lexicographic structure.
+
+    The weight rises from a proven lower bound to the weight of a witness
+    with every V0 vertex next to V2, which is also the piece's upper bound
+    in a budget error: V2 = a minimum dominating set (2 gamma), or on a
+    product V2 = {(u, 0) : u in a minimum total dominating set of G}
+    (2 gamma_t(G)).  The factor's own search leaves a witness on the
+    factor graph, which does not count for the piece."""
     if search.ctx is not None:
         gr, _ = _gamma_r_connected(_WrdfSearch(factor, None), None, counter, cap)
-        gt, _ = _solve_min_set(factor, "gamma_t", counter)
+        gt, tds = _solve_min_set(factor, "gamma_t", counter)
+        n_h = search.ctx.n_h
+        v2 = sum(1 << (u * n_h) for u in _bits(tds))
+        counter.witness = (search.g, LegionFunction(search.g.n, 0, v2))
         rho, _ = _solve_rho(factor, counter)
-        lo, hi = max(gr, gt, 2 * rho), search.g.n
+        lo, hi = max(gr, gt, 2 * rho), 2 * gt
     else:
-        gamma, _ = _solve_min_set(search.g, "gamma", counter)
+        gamma, dom = _solve_min_set(search.g, "gamma", counter)
+        counter.witness = (search.g, LegionFunction(search.g.n, 0, dom))
         lo, hi = gamma, 2 * gamma
     return _lowest(lambda t: search.at_weight(t, counter), lo, hi, counter, cap)
 
 
 def _solve_pieces(pieces, cfg: SolverConfig, counter: _Counter, solve_piece) -> list:
     """``solve_piece(piece, cap)`` -> (value, hit) on each piece in turn, with
-    ``max_weight`` and the budget error's ``lower`` taken over the whole graph.
+    ``max_weight`` and the budget error's interval taken over the whole graph.
 
-    Every piece has value at least 1.  So a piece may use what the cap
-    leaves after the solved pieces and 1 for each piece still to come, and a
-    budget error reports the solved values, the open piece's lower bound and
-    1 for each piece not yet started.
+    Every piece has value at least 1 and at most its vertex count (f = 1
+    everywhere, or the whole vertex set).  So a piece may use what the cap
+    leaves after the solved pieces and 1 for each piece still to come.  A
+    budget error reports the solved values plus, for the open piece, its
+    bounds, and for each piece not yet started, 1 and its vertex count.  The
+    open piece's upper bound is the weight of its witness, if it has one
+    that the raw predicate accepts.
     """
     solved = 0
     out = []
     for i, piece in enumerate(pieces):
-        later = len(pieces) - 1 - i
-        cap = None if cfg.max_weight is None else cfg.max_weight - solved - later
+        later = pieces[i + 1:]
+        cap = None if cfg.max_weight is None else cfg.max_weight - solved - len(later)
         counter.lower = 0
+        counter.witness = None
         try:
             val, hit = solve_piece(piece, cap)
         except BudgetExceededError as exc:
-            raise BudgetExceededError(exc.invariant, solved + exc.lower + later, None) from None
+            sub = piece[1]
+            upper = sub.n
+            if counter.witness is not None and counter.witness[0] is sub:
+                f = counter.witness[1]
+                if PREDICATES[exc.invariant](sub, f):
+                    upper = f.weight
+            upper += solved + sum(p[1].n for p in later)
+            raise BudgetExceededError(exc.invariant, solved + exc.lower + len(later), upper) from None
         solved += val
         out.append((val, hit))
     return out
@@ -934,14 +1007,15 @@ def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None =
     cfg = config or SolverConfig()
     flat = _flat(invariant, g)
     started = time.perf_counter()
-    counter = _Counter(cfg.node_budget, invariant)
+    counter = _Counter(cfg.node_budget, invariant, flat.n)
 
     def solve_piece(piece, cap):
         _, sub, factor, h = piece
         if invariant == "gamma_r":
             return _gamma_r_connected(_WrdfSearch(sub, _product_ctx(factor, h, cfg)), factor, counter, cap)
         if invariant == "gamma_R":
-            gamma, _ = _solve_min_set(sub, "gamma", counter)
+            gamma, dom = _solve_min_set(sub, "gamma", counter)
+            counter.witness = (sub, LegionFunction(sub.n, 0, dom))
             return _lowest(lambda t: _rdfs_at_weight(sub, t, counter), gamma, 2 * gamma, counter, cap)
         if invariant == "rho":
             return _solve_rho(sub, counter)
@@ -975,7 +1049,7 @@ def enumerate_optimal_wrdf(g: Graph | ProductGraph, config: SolverConfig | None 
     exactly once, in canonical order."""
     cfg = config or SolverConfig()
     flat = _flat("gamma_r", g)
-    counter = _Counter(cfg.node_budget, "gamma_r")
+    counter = _Counter(cfg.node_budget, "gamma_r", flat.n)
 
     def value_and_stream(piece, cap):
         verts, sub, factor, h = piece
@@ -986,7 +1060,8 @@ def enumerate_optimal_wrdf(g: Graph | ProductGraph, config: SolverConfig | None 
         return val, (verts, _WrdfSearch(sub, ctx, symmetry=False).at_weight(val, counter))
 
     solved = _solve_pieces(_pieces(g, lex=True), cfg, counter, value_and_stream)
-    counter.lower = sum(val for val, _ in solved)
+    # the value is known: a budget error while streaming reports it
+    counter.lower = counter.upper = sum(val for val, _ in solved)
     streams = [stream for _, stream in solved]
 
     if len(streams) == 1:

@@ -92,6 +92,8 @@ def test_budget_exit_3():
     _, edge_list, _ = cli(["generate", "path", "10"])
     code, _, err = cli(["solve", "gamma_r", "--budget", "5"], stdin_text=edge_list)
     assert code == 3 and "budget exceeded" in err
+    # the budget runs out before gamma(P10) is known: the upper end is f = 1
+    assert "value in [4, 10]" in err
 
 
 def test_max_weight_exit_3_on_two_components():

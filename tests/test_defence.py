@@ -1,10 +1,13 @@
 """The defence kernel against the raw definitions on small random graphs.
 
 ``_defended`` (the leaf test of the gamma_r and gamma_s searches) must agree
-with ``is_wrdf`` and ``is_secure_dominating``, and the gamma_r search with
-its symmetry cuts off must yield exactly the weak Roman dominating functions
-of each weight, also at the weights above the optimum, where the early
-defence checkpoints see placements that no optimum-only test reaches.
+with ``is_wrdf`` and ``is_secure_dominating``; the kernel ``_undefended``
+must return exactly the V0 vertices that no legal move defends, vertex by
+vertex, which is what lets the search fold its last checks into the leaf;
+and the gamma_r search with its symmetry cuts off must yield exactly the
+weak Roman dominating functions of each weight, also at the weights above
+the optimum, where the early defence checkpoints see placements that no
+optimum-only test reaches.
 """
 
 import itertools
@@ -12,9 +15,9 @@ import itertools
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weakroman import LegionFunction, is_secure_dominating, is_wrdf
-from weakroman.graph import Graph
-from weakroman.solvers import _Counter, _defended, _WrdfSearch
+from weakroman import LegionFunction, is_dominating, is_secure_dominating, is_wrdf
+from weakroman.graph import Graph, _bits
+from weakroman.solvers import _Counter, _defended, _undefended, _WrdfSearch
 
 _SETTINGS = settings(max_examples=60, derandomize=True, deadline=None, database=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -36,6 +39,36 @@ def _placements(draw):
     return g, LegionFunction.from_values(values)
 
 
+@st.composite
+def _dominating_placements(draw):
+    """A graph with a random dominating (V2, V1) on it - each vertex the
+    drawn values leave uncovered takes a legion - and a few check masks."""
+    g, f = draw(_placements())
+    m1 = f.v1_mask
+    for v in range(g.n):
+        if not g.closed[v] & (m1 | f.v2_mask):
+            m1 |= 1 << v
+    checks = draw(st.lists(st.integers(0, (1 << g.n) - 1), min_size=1, max_size=4))
+    return g, LegionFunction(g.n, m1, f.v2_mask), checks
+
+
+def _undefended_by_definition(g: Graph, f: LegionFunction) -> int:
+    """The V0 vertices to which no neighbour can send a legion and leave
+    the positive set dominating."""
+    pos = f.v1_mask | f.v2_mask
+    out = 0
+    for v in _bits(((1 << g.n) - 1) & ~pos):
+        defended = False
+        for u in _bits(g.adj[v] & pos):
+            moved = pos | 1 << v
+            if f.v1_mask >> u & 1:
+                moved &= ~(1 << u)
+            defended = defended or is_dominating(g, moved)
+        if not defended:
+            out |= 1 << v
+    return out
+
+
 def _covers(g: Graph, positive: int) -> tuple[int, int]:
     """The vertices covered at least once and at least twice by the closed
     neighbourhoods of ``positive``."""
@@ -52,7 +85,7 @@ def _covers(g: Graph, positive: int) -> tuple[int, int]:
 def test_defended_is_wrdf(case):
     g, f = case
     cov1, cov2 = _covers(g, f.v1_mask | f.v2_mask)
-    assert _defended(g, f.v2_mask, f.v1_mask, cov1, cov2) == is_wrdf(g, f)
+    assert _defended(g, f.v2_mask, f.v1_mask, cov1, cov2, {}) == is_wrdf(g, f)
 
 
 @_SETTINGS
@@ -60,7 +93,22 @@ def test_defended_is_wrdf(case):
 def test_defended_without_v2_is_secure_domination(case):
     g, f = case
     cov1, cov2 = _covers(g, f.v1_mask)
-    assert _defended(g, 0, f.v1_mask, cov1, cov2) == is_secure_dominating(g, f.v1_mask)
+    assert _defended(g, 0, f.v1_mask, cov1, cov2, {}) == is_secure_dominating(g, f.v1_mask)
+
+
+@_SETTINGS
+@given(_dominating_placements())
+def test_kernel_returns_the_undefended_vertices(case):
+    g, f, checks = case
+    cov1, cov2 = _covers(g, f.v1_mask | f.v2_mask)
+    full = (1 << g.n) - 1
+    common: dict[int, int] = {}
+    bad = _undefended(g.adj, g.closed, full, f.v2_mask, f.v1_mask, cov1 & ~cov2, common)
+    assert bad == _undefended_by_definition(g, f)
+    # each vertex's verdict is its own: checking a window is the full
+    # verdict masked by it, with the memo shared across the calls
+    for check in checks:
+        assert _undefended(g.adj, g.closed, check, f.v2_mask, f.v1_mask, cov1 & ~cov2, common) == bad & check
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None,
@@ -74,7 +122,7 @@ def test_search_yields_every_wrdf_of_each_weight(g):
             by_weight.setdefault(f.weight, set()).add((f.v2_mask, f.v1_mask))
     search = _WrdfSearch(g, None, symmetry=False)
     for t in range(g.n + 1):
-        found = list(search.at_weight(t, _Counter(None, "gamma_r")))
+        found = list(search.at_weight(t, _Counter(None, "gamma_r", g.n)))
         assert set(found) == by_weight.get(t, set())
         # each function once, in canonical (sorted V2, sorted V1) order
         keys = [LegionFunction(g.n, m1, m2).key() for m2, m1 in found]

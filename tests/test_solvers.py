@@ -314,7 +314,10 @@ def test_shard_determinism():
     (gen.path(10), 199),
     (lexicographic(gen.cycle(5), gen.path(10)), 24479),
     (lexicographic(gen.comb(5), gen.path(10)), 56789),
-], ids=["C4oP10", "C4ocorona(P4,K1)", "C5oempty4", "P3oC6", "fig6_spider", "C8", "P10", "C5oP10", "comb5oP10"])
+    (lexicographic(gen.path(5), gen.path(10)), 127992),
+    (lexicographic(gen.fig6_spider(), gen.empty(4)), 85155),
+], ids=["C4oP10", "C4ocorona(P4,K1)", "C5oempty4", "P3oC6", "fig6_spider", "C8", "P10", "C5oP10", "comb5oP10",
+        "P5oP10", "fig6_spideroempty4"])
 def test_gamma_r_node_counts(g, nodes):
     assert solve("gamma_r", g).nodes == nodes
 
@@ -325,6 +328,9 @@ def test_budget_exceeded_reports_interval():
     with pytest.raises(BudgetExceededError) as exc:
         solve("gamma_r", lexicographic(gen.path(5), gen.path(10)), SolverConfig(node_budget=100))
     assert exc.value.lower >= 1
+    # the upper end is 2 gamma_t(P5) = 6, from V2 = {(u, 0) : u in a minimum
+    # total dominating set of P5}
+    assert exc.value.upper == 6
 
 
 def test_max_weight_cap():
@@ -342,6 +348,8 @@ def test_max_weight_cap():
         with pytest.raises(BudgetExceededError) as exc:
             solve(invariant, gen.path(7), SolverConfig(max_weight=1))
         assert exc.value.lower == 3
+        # the upper end is 2 gamma(P7), from V2 = a minimum dominating set
+        assert exc.value.upper == 6
 
 
 def test_max_weight_caps_the_whole_graph():
@@ -367,6 +375,19 @@ def test_budget_lower_bound_covers_the_whole_graph():
             solve("gamma_r", double, SolverConfig(node_budget=budget))
         lowers.append(exc.value.lower)
     assert lowers == [5, 7, 7]
+
+
+def test_budget_upper_bound_covers_the_whole_graph():
+    # P8 + P8 again: the upper end counts the solved piece, the open piece's
+    # witness (2 gamma(P8) = 6 once gamma is known, f = 1 of weight 8
+    # before) and the vertex count of each piece not yet started
+    double = Graph.from_edges(16, [(i, i + 1) for i in (*range(7), *range(8, 15))])
+    uppers = []
+    for budget in (40, 60, 80):
+        with pytest.raises(BudgetExceededError) as exc:
+            solve("gamma_r", double, SolverConfig(node_budget=budget))
+        uppers.append(exc.value.upper)
+    assert uppers == [6 + 8, 4 + 8, 4 + 6]
 
 
 def test_product_route_agrees_with_blind_route():
