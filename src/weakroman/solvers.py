@@ -12,8 +12,14 @@ iterate a target weight t upward from a computed lower bound and enumerate
 candidate (V2, V1) placements of that weight, rejecting candidates whose
 positive set cannot dominate before running the defence check.  When the
 input is a lexicographic product with a noncomplete second factor, the
-weight starts at the product lower bound max(gamma_r(G), gamma_t(G),
-2 rho(G)) (the ``lex_lower_max`` claim), and a greedy lookahead prunes a
+weight starts at the product lower bound max(gamma_r(G), gamma_t(G), P).
+This is the ``lex_lower_max`` claim with its term 2 rho(G) raised to P,
+the heaviest 2-packing of G in which a support vertex of degree at least
+2 weighs lambda(H) and every other vertex weighs 2.  lambda(H) is the
+least weight on P3 o H that dominates and defends the copies of a leaf
+and its support; one small search gives it, and the weights below P are
+never searched.  :func:`_gamma_r_connected` proves the bound, and
+``tests/test_support_bound.py`` checks it.  A greedy lookahead prunes a
 placement once the legions left cannot bring each closed copy
 neighbourhood still open to weight 2, which every optimal function puts
 there (the ``copy_lemma`` claim).
@@ -83,7 +89,7 @@ from .graph import (
     is_secure_dominating,
     is_total_dominating,
 )
-from .products import ProductGraph
+from .products import ProductGraph, lexicographic
 
 INVARIANTS = ("gamma", "gamma_t", "gamma_2t", "rho", "gamma_R", "gamma_r", "gamma_s")
 SET_INVARIANTS = ("gamma", "gamma_t", "gamma_2t", "rho", "gamma_s")
@@ -274,10 +280,11 @@ class SolverConfig:
     ``shards`` is accepted and validated but has no effect: every search is
     one sequential generator.  ``max_weight`` caps the weight of ``gamma_r``
     and ``gamma_R``, summed over the components.  ``product_pruning``
-    enables, on lexicographic products, the product lower bound, the
-    closed-copy-weight lookahead and the per-copy Aut(H) cut; switching it
-    off forces the structure-blind search (used when the claims that justify
-    those prunes are themselves under test).
+    enables, on lexicographic products, the product lower bound (with its
+    support-gadget packing term), the closed-copy-weight lookahead and the
+    per-copy Aut(H) cut; switching it off forces the structure-blind search
+    (used when the claims that justify those prunes are themselves under
+    test).
     """
 
     shards: int = 1
@@ -410,16 +417,19 @@ def _undefended(adj, closed, check: int, m2: int, m1: int, breakable: int, commo
     return victims
 
 
-def _defended(g: Graph, m2: int, m1: int, cov1: int, cov2: int, common: dict) -> bool:
-    """Whether the placement (V2, V1) = (m2, m1) dominates and defends.
+def _defended(g: Graph, m2: int, m1: int, cov1: int, cov2: int, common: dict, core: int | None = None) -> bool:
+    """Whether the placement (V2, V1) = (m2, m1) dominates and defends the
+    ``core`` vertices (all of ``g`` by default), only they having to stay
+    dominated after a move.
 
     ``cov1``/``cov2`` are the vertices covered at least once/twice by the
     closed neighbourhoods of V1 | V2, and ``common`` is the memo of
     :func:`_undefended` for ``g``.  With V2 empty this is the secure
     domination test.
     """
-    full = (1 << g.n) - 1
-    return cov1 == full and not _undefended(g.adj, g.closed, full, m2, m1, cov1 & ~cov2, common)
+    if core is None:
+        core = (1 << g.n) - 1
+    return cov1 & core == core and not _undefended(g.adj, g.closed, core, m2, m1, core & cov1 & ~cov2, common)
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +494,13 @@ def minimum_dominating_sets(g: Graph | ProductGraph, config: SolverConfig | None
     cfg = config or SolverConfig()
     flat = _flat("gamma", g)
     counter = _Counter(cfg.node_budget, "gamma", flat.n)
-    per_comp = []
-    for verts, sub, _, _ in _pieces(g, lex=False):
+
+    def minimum_sets(piece, cap):
+        verts, sub, _, _ = piece
         k, _ = _solve_min_set(sub, "gamma", counter)
-        per_comp.append([_lift(m, verts) for m in _min_sets(sub, k, "gamma", counter)])
+        return k, [_lift(m, verts) for m in _min_sets(sub, k, "gamma", counter)]
+
+    per_comp = [sets for _, sets in _solve_pieces(_pieces(g, lex=False), cfg, counter, minimum_sets)]
     out = [sum(chosen) for chosen in itertools.product(*per_comp)]
     out.sort(key=lambda m: tuple(_bits(m)))
     return [VertexSet(flat.n, m) for m in out]
@@ -530,6 +543,28 @@ def _solve_rho(g: Graph, counter: _Counter) -> tuple[int, int]:
         if mask is None:
             break
         best = (k, mask)
+    return best
+
+
+def _heaviest_packing(g: Graph, weight: list[int], counter: _Counter) -> int:
+    """The largest total ``weight`` of a 2-packing of ``g``: a branch and
+    bound over the packings in ascending order, cut once the weight of every
+    vertex left cannot beat the best."""
+    n = g.n
+    tail = [*itertools.accumulate(weight[::-1])][::-1] + [0]  # weight of the vertices from e on
+    best = 0
+
+    def rec(start: int, blocked: int, total: int):
+        nonlocal best
+        counter.tick()
+        best = max(best, total)
+        for e in range(start, n):
+            if total + tail[e] <= best:
+                return
+            if not g.closed[e] & blocked:
+                rec(e + 1, blocked | g.closed[e], total + weight[e])
+
+    rec(0, 0, 0)
     return best
 
 
@@ -696,18 +731,22 @@ class _WrdfSearch:
     left there, or because a copy that would be decided there already
     fails its Aut(H) cut.  Its candidate loops stop at the horizon, which
     cuts no node that the checks would not.  The last legion's checks are
-    folded into the leaf: one kernel call over every vertex gives the
+    folded into the leaf: one kernel call over every core vertex gives the
     undefended set, and the candidate is a node if that set misses the
     window just checked, and a hit if it is empty.
 
     With ``symmetry`` the search keeps only functions that pass the twin
     rule and, on a lexicographic product, the per-copy Aut(H) cut (see the
-    module docstring); without it, it yields every function."""
+    module docstring); without it, it yields every function.  ``core``
+    (every vertex by default) is the set that must be dominated and
+    defended, and stay dominated after each defending move; the vertices
+    outside it only hold legions."""
 
-    def __init__(self, g: Graph, ctx: _LexContext | None, symmetry: bool = True):
+    def __init__(self, g: Graph, ctx: _LexContext | None, symmetry: bool = True, core: int | None = None):
         self.g = g
         self.ctx = ctx
         n = g.n
+        self.core = (1 << n) - 1 if core is None else core
         self.twin = _prev_twins(g) if symmetry else (0,) * n
         self.leaders: dict[int, bool] = {}  # copy pattern (V2 << n_h | V1) -> _copy_is_leader
         self.common: dict[int, int] = {}  # the memo of _undefended
@@ -718,7 +757,7 @@ class _WrdfSearch:
         # so due1[k] is also the set with no coverer at index k or above.
         due1 = [0] * (n + 1)
         due2 = [0] * (n + 1)
-        for v in range(n):
+        for v in _bits(self.core):
             reach = g.closed[v]
             ctx2 = reach
             for w in _bits(reach):
@@ -740,7 +779,7 @@ class _WrdfSearch:
         n = g.n
         adj = g.adj
         closed = g.closed
-        full = (1 << n) - 1
+        core = self.core
         due1 = self.due1
         due2 = self.due2
         aut_cut = self.aut_cut
@@ -788,33 +827,31 @@ class _WrdfSearch:
                     leader = leaders[pattern] = _copy_is_leader(p2, p1, h_auts)
                 return leader
 
-        def advance(start: int, e: int, m2: int, m1: int, rem: int, cov1: int, cov2: int) -> bool:
-            """Whether the checkpoints due at flat indices start..e pass (the
-            first ``start`` indices are checked already, and the horizon
-            has passed every copy that ends before e)."""
+        def advance(start: int, e: int, m2: int, m1: int, cov1: int, cov2: int) -> bool:
+            """Whether the checkpoints due at flat indices start..e pass, with
+            legions left (the first ``start`` indices are checked already,
+            and the horizon has passed every copy that ends before e)."""
             nxt = e + 1
             if aut_cut and nxt % n_h == 0 and not is_leader(e // n_h, m2, m1):
                 return False
             check = (due1[nxt] & ~due1[start]) | (due2[nxt] & ~due2[start])
             if check & ~(m2 | m1):
                 # vertices whose unique cover is certain never to change:
-                # with legions left, those with no coverer above e (due1)
-                breakable = cov1 & ~cov2
-                if rem > 0:
-                    breakable &= due1[nxt]
+                # those with no coverer above e (due1)
+                breakable = cov1 & ~cov2 & due1[nxt]
                 return not _undefended(adj, closed, check, m2, m1, breakable, common)
             return True
 
         def dfs_v1(start: int, m2: int, m1: int, slots: int, cov1: int, cov2: int):
             counter.tick()
             if slots == 0:
-                if _defended(g, m2, m1, cov1, cov2, common):
+                if _defended(g, m2, m1, cov1, cov2, common, core):
                     yield m2, m1
                 return
             # the horizon: the least k with an uncovered vertex in due1[k],
             # which has no coverer from k on (due1[start] holds none, or
             # advance would have failed) ...
-            uncov = full & ~cov1
+            uncov = core & ~cov1
             lo, lim = start, n
             while uncov and lim - lo > 1:
                 mid = (lo + lim) >> 1
@@ -831,7 +868,7 @@ class _WrdfSearch:
                 lim = min(lim, (x + 1) * n_h)
             if slots == 1:
                 # the last legion must cover everything still uncovered
-                cand = full & ~((1 << start) - 1) & ((1 << lim) - 1) & ~m2 & ~m1
+                cand = ((1 << lim) - 1) & ~((1 << start) - 1) & ~m2 & ~m1
                 while uncov and cand:
                     low = uncov & -uncov
                     cand &= closed[low.bit_length() - 1]
@@ -846,10 +883,10 @@ class _WrdfSearch:
                     nxt = e + 1
                     if aut_cut and nxt % n_h == 0 and not is_leader(e // n_h, m2, m1b):
                         continue
-                    # every vertex is covered now; advance's defence check
-                    # is the leaf test masked by its window
+                    # every core vertex is covered now; advance's defence
+                    # check is the leaf test masked by its window
                     c = closed[e]
-                    bad = _undefended(adj, closed, full, m2, m1b, full & ~(cov2 | (cov1 & c)), common)
+                    bad = _undefended(adj, closed, core, m2, m1b, core & ~(cov2 | (cov1 & c)), common)
                     if bad & ((due1[nxt] & ~due1[start]) | (due2[nxt] & ~due2[start])):
                         continue
                     counter.tick()
@@ -864,7 +901,7 @@ class _WrdfSearch:
                 c = closed[e]
                 nc2 = cov2 | (cov1 & c)
                 nc1 = cov1 | c
-                if not advance(start, e, m2, m1b, slots - 1, nc1, nc2):
+                if not advance(start, e, m2, m1b, nc1, nc2):
                     continue
                 for x in copy_nbhd[e]:
                     w[x] += 1
@@ -945,20 +982,75 @@ def _gamma_r_connected(search: _WrdfSearch, factor: Graph | None, counter: _Coun
     in a budget error: V2 = a minimum dominating set (2 gamma), or on a
     product V2 = {(u, 0) : u in a minimum total dominating set of G}
     (2 gamma_t(G)).  The factor's own search leaves a witness on the
-    factor graph, which does not count for the piece."""
+    factor graph, which does not count for the piece.
+
+    On a product G o H (H not complete, so n_h >= 2) the lower bound is
+    max(gamma_r(G), gamma_t(G), P): P is the heaviest 2-packing of G in
+    which a support vertex of degree >= 2 weighs lambda(H)
+    (:func:`_support_cost`) and every other vertex weighs 2, so with no
+    such support P = 2 rho(G).  Every weak Roman dominating function f puts
+    at least the weight of u on the copies of N_G[u], and the closed
+    neighbourhoods of a 2-packing are disjoint, so their weights add:
+
+    * Copy u and all its neighbours lie in the copies of N_G[u].  With no
+      legion there copy u is undominated.  With one, take nonadjacent a, b
+      of H with (u, b) a zero: its only defender moves to it, and then
+      (u, a) is undominated.  So u weighs 2.
+    * Take a support s of degree >= 2, a leaf l of it, and f on the copies
+      of N_G[s]: copies s and l are dominated, and each of their zeros has
+      a defender there whose move leaves copies s and l dominated.  The
+      other copies are adjacent to all of copy s and none of copy l, so
+      fold them into one outer copy holding a 2 if they held one, else two
+      1s if they held two legions, else what they held.  That keeps every
+      move, and whether the outer side stays positive after it, at no
+      more weight: a function on P3 o H (copies l, s, outer) of the kind
+      lambda(H) minimises.  By the first point lambda(H) >= 2, and a 2 on
+      copies l and s each gives lambda(H) <= 4."""
     if search.ctx is not None:
         gr, _ = _gamma_r_connected(_WrdfSearch(factor, None), None, counter, cap)
         gt, tds = _solve_min_set(factor, "gamma_t", counter)
         n_h = search.ctx.n_h
         v2 = sum(1 << (u * n_h) for u in _bits(tds))
         counter.witness = (search.g, LegionFunction(search.g.n, 0, v2))
-        rho, _ = _solve_rho(factor, counter)
-        lo, hi = max(gr, gt, 2 * rho), 2 * gt
+        h = search.g.induced(search.ctx.h_full)
+        lo, hi = _packing_bound(factor, h, max(gr, gt), counter), 2 * gt
     else:
         gamma, dom = _solve_min_set(search.g, "gamma", counter)
         counter.witness = (search.g, LegionFunction(search.g.n, 0, dom))
         lo, hi = gamma, 2 * gamma
     return _lowest(lambda t: search.at_weight(t, counter), lo, hi, counter, cap)
+
+
+def _packing_bound(factor: Graph, h: Graph, known: int, counter: _Counter) -> int:
+    """max(known, P), for P the support-gadget packing bound of
+    :func:`_gamma_r_connected` on ``factor`` o ``h``.
+
+    lambda(H) is searched only if P with lambda(H) = 4 beats the bound
+    with lambda(H) = 2, and a budget error meanwhile reports that bound."""
+    leaves = sum(1 << u for u in range(factor.n) if factor.adj[u].bit_count() == 1)
+    support = [factor.adj[u] & leaves and factor.adj[u].bit_count() >= 2 for u in range(factor.n)]
+
+    def packing(lam: int) -> int:
+        return _heaviest_packing(factor, [lam if s else 2 for s in support], counter)
+
+    lo = max(known, packing(2))
+    if any(support) and packing(4) > lo:
+        counter.lower = lo
+        lo = max(lo, packing(_support_cost(h, counter)))
+    return lo
+
+
+def _support_cost(h: Graph, counter: _Counter) -> int:
+    """lambda(H), for a noncomplete H: the least weight on P3 o H that
+    dominates and defends copies 0 and 1 (a leaf and its support) when only
+    those two copies must stay dominated after a move.
+
+    It lies in 2..4 (see :func:`_gamma_r_connected`), so only 2 and 3 are
+    searched.  The search makes no symmetry cut, because twins of P3 o H
+    may lie on both sides of the two copies."""
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    search = _WrdfSearch(lexicographic(p3, h).graph, None, symmetry=False, core=(1 << 2 * h.n) - 1)
+    return next((t for t in (2, 3) if next(search.at_weight(t, counter), None) is not None), 4)
 
 
 def _solve_pieces(pieces, cfg: SolverConfig, counter: _Counter, solve_piece) -> list:

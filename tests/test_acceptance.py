@@ -18,6 +18,7 @@ import time
 import pytest
 
 from weakroman import (
+    BudgetExceededError,
     LegionFunction,
     SolverConfig,
     UndefinedInvariantError,
@@ -240,6 +241,7 @@ def test_criterion_10_extended_slow():
     assert reduced_value == 4
     full_value = solve("gamma_r", lexicographic(gen.path(7), h)).value
     assert full_value == reduced_value + 4 == 8
+    assert solve("gamma_r", lexicographic(gen.path(6), h)).value == 8
 
     # boundary probe: the degenerate contraction of C_6; the verdict is
     # recorded, and on this instance the reduction identity fails
@@ -261,6 +263,12 @@ def test_criterion_10_extended_slow():
                     2 * solve("rho", g).value)
         assert lower <= target
         print(f"n={g.n}: {lower} <= gamma_r(G o P_10) <= {target} (certificate verified)")
+    # the support-gadget start bound, lambda(P10) = 4 on each of the
+    # spider's three supports, meets the 2 gamma_t witness: the value 12 is
+    # proven, though the canonical certificate takes more nodes than this
+    with pytest.raises(BudgetExceededError) as exc:
+        solve("gamma_r", lexicographic(gen.fig6_spider(), h), SolverConfig(node_budget=10_000))
+    assert exc.value.lower == exc.value.upper == 12
     _report(10, "extended tier: reductions at P_10 scale and bound certificates", True)
 
 

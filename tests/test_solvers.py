@@ -19,6 +19,7 @@ from weakroman import (
     is_weak_roman_graph,
     is_wrdf,
     lexicographic,
+    minimum_dominating_sets,
     oracle,
     random_connected,
     satisfies_property_p,
@@ -291,7 +292,7 @@ def test_shard_determinism():
         assert len({r.certificate for r in results}) == 1
         assert len({r.nodes for r in results}) == 1
     # one node budget covers the whole search, so the verdict cannot depend
-    # on the shard count (P4oP10 needs 343 nodes)
+    # on the shard count (P4oP10 needs 344 nodes)
     lowers = set()
     for k in (1, 2, 8):
         with pytest.raises(BudgetExceededError) as exc:
@@ -305,19 +306,20 @@ def test_shard_determinism():
 # Node counts decide budget verdicts, so a change to the search that keeps
 # every value may still move them; these pin the gamma_r counts.
 @pytest.mark.parametrize("g, nodes", [
-    (lexicographic(gen.cycle(4), gen.path(10)), 1196),
-    (lexicographic(gen.cycle(4), corona(gen.path(4), gen.empty(1)).graph), 681),
-    (lexicographic(gen.cycle(5), gen.empty(4)), 162),
-    (lexicographic(gen.path(3), gen.cycle(6)), 65),
+    (lexicographic(gen.cycle(4), gen.path(10)), 1194),
+    (lexicographic(gen.cycle(4), corona(gen.path(4), gen.empty(1)).graph), 679),
+    (lexicographic(gen.cycle(5), gen.empty(4)), 160),
+    (lexicographic(gen.path(3), gen.cycle(6)), 116),
     (gen.fig6_spider(), 1010),
     (gen.cycle(8), 46),
     (gen.path(10), 199),
-    (lexicographic(gen.cycle(5), gen.path(10)), 24479),
-    (lexicographic(gen.comb(5), gen.path(10)), 56789),
-    (lexicographic(gen.path(5), gen.path(10)), 127992),
-    (lexicographic(gen.fig6_spider(), gen.empty(4)), 85155),
+    (lexicographic(gen.cycle(5), gen.path(10)), 24477),
+    (lexicographic(gen.comb(5), gen.path(10)), 2121),
+    (lexicographic(gen.path(5), gen.path(10)), 109918),
+    (lexicographic(gen.fig6_spider(), gen.empty(4)), 3561),
+    (lexicographic(gen.path(7), gen.path(10)), 7262),
 ], ids=["C4oP10", "C4ocorona(P4,K1)", "C5oempty4", "P3oC6", "fig6_spider", "C8", "P10", "C5oP10", "comb5oP10",
-        "P5oP10", "fig6_spideroempty4"])
+        "P5oP10", "fig6_spideroempty4", "P7oP10"])
 def test_gamma_r_node_counts(g, nodes):
     assert solve("gamma_r", g).nodes == nodes
 
@@ -388,6 +390,23 @@ def test_budget_upper_bound_covers_the_whole_graph():
             solve("gamma_r", double, SolverConfig(node_budget=budget))
         uppers.append(exc.value.upper)
     assert uppers == [6 + 8, 4 + 8, 4 + 6]
+
+
+def test_minimum_dominating_sets_budget_covers_the_whole_graph():
+    # P6 + P6 has gamma 2 + 2.  Listing the sets of the first component,
+    # the error counts its value 2 and 1 for the second; in the second, the
+    # solved 2 and the open piece's 2.  Set invariants carry no witness, so
+    # the open and unstarted pieces count their vertex counts above.
+    double = Graph.from_edges(12, [(i, i + 1) for i in (*range(5), *range(6, 11))])
+    intervals = []
+    for budget in (10, 25):
+        with pytest.raises(BudgetExceededError) as exc:
+            minimum_dominating_sets(double, SolverConfig(node_budget=budget))
+        intervals.append((exc.value.lower, exc.value.upper))
+    with pytest.raises(BudgetExceededError) as exc:
+        solve("gamma", double, SolverConfig(node_budget=10))
+    assert intervals == [(3, 12), (4, 8)] and (exc.value.lower, exc.value.upper) == (4, 8)
+    assert len(minimum_dominating_sets(double)) == 1
 
 
 def test_product_route_agrees_with_blind_route():

@@ -1,0 +1,137 @@
+"""The support-gadget start bound of the gamma_r search on G o H.
+
+lambda(H) is the least weight on P3 o H that dominates and defends copies 0
+(a leaf) and 1 (its support) when only those two copies must stay dominated.
+The search's start weight is the heaviest 2-packing of G in which a support
+vertex of degree at least 2 weighs lambda(H) and every other vertex weighs
+2.  These tests check lambda against brute force, check that every optimum
+puts at least lambda(H) on the copies of a support's closed neighbourhood,
+and check that the bound never exceeds the value.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from weakroman import SolverConfig, corona, enumerate_optimal_wrdf, lexicographic, oracle, solve
+from weakroman import generators as gen
+from weakroman.graph import Graph, _bits
+from weakroman.solvers import _Counter, _packing_bound, _support_cost
+
+_BLIND = SolverConfig(product_pruning=False)
+_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None,
+                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+def _lam(h: Graph) -> int:
+    return _support_cost(h, _Counter(None, "gamma_r", 0))
+
+
+def _graphs(n: int):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for keep in itertools.product((False, True), repeat=len(pairs)):
+        yield Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def _relaxed_minimum(h: Graph) -> int:
+    """The least weight of a function on P3 o H under which every vertex of
+    copies 0 and 1 is dominated, and each of their zeros has a neighbour
+    whose move of one legion to it leaves copies 0 and 1 dominated - by
+    exhaustive search over the functions of each weight in turn."""
+    g = lexicographic(gen.path(3), h).graph
+    core = (1 << 2 * h.n) - 1
+
+    def dominated(pos: int) -> bool:
+        cover = pos
+        for v in _bits(pos):
+            cover |= g.adj[v]
+        return cover & core == core
+
+    def ok(m2: int, m1: int) -> bool:
+        pos = m2 | m1
+        if not dominated(pos):
+            return False
+        for v in _bits(core & ~pos):
+            if not any(dominated((pos | 1 << v) & ~(m1 & 1 << u)) for u in _bits(g.adj[v] & pos)):
+                return False
+        return True
+
+    for t in itertools.count():
+        for k2 in range(t // 2 + 1):
+            for v2 in itertools.combinations(range(g.n), k2):
+                m2 = sum(1 << v for v in v2)
+                rest = [v for v in range(g.n) if v not in v2]
+                for v1 in itertools.combinations(rest, t - 2 * k2):
+                    if ok(m2, sum(1 << v for v in v1)):
+                        return t
+
+
+def test_lambda_matches_brute_force_up_to_three_vertices():
+    checked = 0
+    for n in (2, 3):
+        for h in _graphs(n):
+            if not h.is_complete():
+                assert _lam(h) == _relaxed_minimum(h), h.adj
+                checked += 1
+    assert checked == 8
+
+
+@pytest.mark.parametrize("h, lam", [
+    (gen.path(10), 4), (gen.empty(4), 4), (corona(gen.path(4), gen.empty(1)).graph, 4), (gen.cycle(10), 4),
+    (gen.empty(3), 3), (gen.path(7), 3), (gen.cycle(6), 3), (gen.complete_bipartite(3, 3), 3),
+    (gen.empty(2), 2), (gen.path(4), 2), (gen.cycle(5), 2), (gen.path(3), 2),
+], ids=["P10", "empty4", "corona(P4,K1)", "C10", "empty3", "P7", "C6", "K33", "empty2", "P4", "C5", "P3"])
+def test_lambda_values(h, lam):
+    assert _lam(h) == lam
+
+
+# lambda 2, 3, 3, 4 and 2: empty:3 and K2 + 2K1 are the smallest H with
+# lambda 3, and empty:4 the smallest with lambda 4
+_POOL = (gen.empty(2), gen.empty(3), Graph.from_edges(4, [(0, 1)]), gen.empty(4), gen.path(4))
+
+
+@st.composite
+def _connected(draw, max_n):
+    n = draw(st.integers(2, max_n))
+    # a random tree on 0..n-1 plus random chords keeps G connected
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    keep = draw(st.lists(st.booleans(), min_size=len(chords), max_size=len(chords)))
+    return Graph.from_edges(n, sorted(edges) + [e for e, k in zip(chords, keep) if k])
+
+
+def _supports(g: Graph) -> list[int]:
+    """The vertices of degree at least 2 next to a vertex of degree 1."""
+    return [s for s in range(g.n) if g.degree(s) >= 2 and any(g.degree(x) == 1 for x in _bits(g.adj[s]))]
+
+
+@_SETTINGS
+@given(_connected(6), st.sampled_from(range(len(_POOL))))
+def test_every_optimum_puts_lambda_on_each_support(g, i):
+    supports = _supports(g)
+    assume(supports)
+    h = _POOL[i]
+    p = lexicographic(g, h)
+    assume(p.graph.n <= 18)
+    lam = _lam(h)
+    regions = [sum(p.copies[x] for x in _bits(g.closed[s])) for s in supports]
+    count = 0
+    for f in enumerate_optimal_wrdf(p, _BLIND):
+        for region in regions:
+            assert (f.v1_mask & region).bit_count() + 2 * (f.v2_mask & region).bit_count() >= lam
+        count += 1
+    assert count
+
+
+@_SETTINGS
+@given(_connected(8), st.sampled_from(range(len(_POOL))))
+def test_packing_bound_never_exceeds_the_value(g, i):
+    h = _POOL[i]
+    p = lexicographic(g, h)
+    assume(p.graph.n <= 32)
+    bound = _packing_bound(g, h, 0, _Counter(None, "gamma_r", 0))
+    assert bound <= solve("gamma_r", p, _BLIND).value
+    if p.graph.n <= 12:
+        assert bound <= oracle("gamma_r", p)
