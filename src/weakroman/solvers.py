@@ -520,51 +520,27 @@ def _solve_min_set(g: Graph, invariant: str, counter: _Counter) -> tuple[int, in
     return _lowest(lambda k: _min_sets(g, k, invariant, counter), max(1, lo), n, counter)
 
 
-def _packings(g: Graph, k: int, counter: _Counter):
-    """Generator of the 2-packings of size exactly k, ascending lexicographic."""
-    n = g.n
-
-    def rec(start: int, mask: int, blocked: int, slots: int):
-        counter.tick()
-        if slots == 0:
-            yield mask
-            return
-        for e in range(start, n - slots + 1):
-            if not g.closed[e] & blocked:
-                yield from rec(e + 1, mask | (1 << e), blocked | g.closed[e], slots - 1)
-
-    return rec(0, 0, 0, k)
-
-
-def _solve_rho(g: Graph, counter: _Counter) -> tuple[int, int]:
-    best = (0, 0)
-    for k in range(1, g.n + 1):
-        mask = next(_packings(g, k, counter), None)
-        if mask is None:
-            break
-        best = (k, mask)
-    return best
-
-
-def _heaviest_packing(g: Graph, weight: list[int], counter: _Counter) -> int:
-    """The largest total ``weight`` of a 2-packing of ``g``: a branch and
-    bound over the packings in ascending order, cut once the weight of every
-    vertex left cannot beat the best."""
+def _heaviest_packing(g: Graph, weight: list[int], counter: _Counter) -> tuple[int, int]:
+    """(weight, mask) of the heaviest 2-packing of ``g`` under ``weight``: a
+    branch and bound over the packings in ascending lexicographic order, cut
+    once the weight of every vertex left cannot beat the best.  Only a strict
+    gain replaces the best, so the mask is the first heaviest packing."""
     n = g.n
     tail = [*itertools.accumulate(weight[::-1])][::-1] + [0]  # weight of the vertices from e on
-    best = 0
+    best = (0, 0)
 
-    def rec(start: int, blocked: int, total: int):
+    def rec(start: int, mask: int, blocked: int, total: int):
         nonlocal best
         counter.tick()
-        best = max(best, total)
+        if total > best[0]:
+            best = (total, mask)
         for e in range(start, n):
-            if total + tail[e] <= best:
+            if total + tail[e] <= best[0]:
                 return
             if not g.closed[e] & blocked:
-                rec(e + 1, blocked | g.closed[e], total + weight[e])
+                rec(e + 1, mask | (1 << e), blocked | g.closed[e], total + weight[e])
 
-    rec(0, 0, 0)
+    rec(0, 0, 0, 0)
     return best
 
 
@@ -1031,7 +1007,7 @@ def _packing_bound(factor: Graph, h: Graph, known: int, counter: _Counter) -> in
     support = [factor.adj[u] & leaves and factor.adj[u].bit_count() >= 2 for u in range(factor.n)]
 
     def packing(lam: int) -> int:
-        return _heaviest_packing(factor, [lam if s else 2 for s in support], counter)
+        return _heaviest_packing(factor, [lam if s else 2 for s in support], counter)[0]
 
     lo = max(known, packing(2))
     if any(support) and packing(4) > lo:
@@ -1110,7 +1086,7 @@ def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None =
             counter.witness = (sub, LegionFunction(sub.n, 0, dom))
             return _lowest(lambda t: _rdfs_at_weight(sub, t, counter), gamma, 2 * gamma, counter, cap)
         if invariant == "rho":
-            return _solve_rho(sub, counter)
+            return _heaviest_packing(sub, [1] * sub.n, counter)
         return _solve_min_set(sub, invariant, counter)
 
     pieces = _pieces(g, lex=invariant == "gamma_r")

@@ -16,6 +16,9 @@ they carry small default instances; claims about values only scale further.
 Checks whose statements justify the solver's product-structure pruning are
 run with that pruning disabled, so the verified route stays independent of
 the claim under test.
+
+A claim on gamma_r(G o H) alone is one :func:`_lex_bound` row of (hypothesis,
+facts, check) in :data:`REGISTRY`; any other claim is a runner of its own.
 """
 
 from __future__ import annotations
@@ -355,7 +358,7 @@ def _run_hamiltonian_bound(inst, cfg):
     )
     if not valid:
         return "inapplicable", {"reason": "witness is not a Hamiltonian cycle"}, None
-    bound = -(-3 * n // 7)
+    bound = closed_formula("gamma_r_path_cycle", n)
     gr = _val("gamma_r", g, cfg)
     ok = gr <= bound
     details = {"gamma_r": gr, "bound": bound}
@@ -366,91 +369,47 @@ def _product_value(g: Graph, h: Graph, cfg: SolverConfig) -> int:
     return _val("gamma_r", lexicographic(g, h), cfg)
 
 
-def _run_lex_upper_2gt(inst, cfg):
-    g, h = resolve_graph(inst["g"]), resolve_graph(inst["h"])
-    if g.n == 0 or g.min_degree() == 0:
-        return "inapplicable", {"reason": "needs no isolated vertex"}, None
-    gt = _val("gamma_t", g, cfg)
-    val = _product_value(g, h, cfg)
-    ok = val <= 2 * gt
-    details = {"gamma_r_product": val, "gamma_t": gt}
-    return _verdict(ok, details)
+def _lex_bound(needs, reason, facts, holds, blind=False):
+    """The runner of a claim on gamma_r(G o H) alone.  ``needs(g, h)`` is its
+    hypothesis; ``facts(g, h, cfg)`` are the details reported next to the
+    product value, solved before it; ``holds(value, facts)`` is its check.
+    ``blind`` solves the product without the product-structure shortcuts."""
+    def run(inst, cfg):
+        g, h = resolve_graph(inst["g"]), resolve_graph(inst["h"])
+        if not needs(g, h):
+            return "inapplicable", {"reason": reason}, None
+        known = facts(g, h, cfg)
+        val = _product_value(g, h, _blind(cfg) if blind else cfg)
+        return _verdict(holds(val, known), {"gamma_r_product": val, **known})
+    return run
 
 
-def _run_lex_upper_maxdeg4(inst, cfg):
-    g, h = resolve_graph(inst["g"]), resolve_graph(inst["h"])
-    if g.n == 0 or g.min_degree() == 0 or g.max_degree() < g.n - 2:
-        return "inapplicable", {"reason": "needs no isolated vertex and max degree >= n-2"}, None
-    val = _product_value(g, h, cfg)
-    details = {"gamma_r_product": val}
-    ok = val <= 4
-    return _verdict(ok, details)
+def _lex_family(family, low, expected):
+    """The runner of gamma_r(F_n o H) == expected(n) for n >= low and
+    gamma(H) >= 4, F_n the member of ``family`` on parameter n."""
+    def run(inst, cfg):
+        n = int(inst["n"])
+        h = resolve_graph(inst["h"])
+        if n < low or _val("gamma", h, cfg) < 4:
+            return "inapplicable", {"reason": f"needs n >= {low} and gamma(H) >= 4"}, None
+        want = expected(n)
+        val = _product_value(family(n), h, cfg)
+        return _verdict(val == want, {"gamma_r_product": val, "expected": want})
+    return run
 
 
-def _run_lex_upper_diam2(inst, cfg):
-    g, h = resolve_graph(inst["g"]), resolve_graph(inst["h"])
-    if not g.is_connected() or g.n < 2 or g.diameter() != 2:
-        return "inapplicable", {"reason": "needs diameter two"}, None
-    bound = 2 * (g.min_degree() + 1)
-    val = _product_value(g, h, cfg)
-    details = {"gamma_r_product": val, "bound": bound}
-    ok = val <= bound
-    return _verdict(ok, details)
+def _no_isolated(g: Graph) -> bool:
+    return g.n > 0 and g.min_degree() > 0
 
 
-def _run_lex_upper_two_thirds(inst, cfg):
-    g, h = resolve_graph(inst["g"]), resolve_graph(inst["h"])
-    if g.n < 3 or not g.is_connected():
-        return "inapplicable", {"reason": "needs a connected graph on n >= 3"}, None
-    bound = 2 * (2 * g.n // 3)
-    val = _product_value(g, h, cfg)
-    details = {"gamma_r_product": val, "bound": bound}
-    ok = val <= bound
-    return _verdict(ok, details)
+def _diameter_two(g: Graph) -> bool:
+    return g.is_connected() and g.n >= 2 and g.diameter() == 2
 
 
-def _run_lex_upper_tree_ns(inst, cfg):
-    g, h = resolve_graph(inst["g"]), resolve_graph(inst["h"])
-    if not _is_tree(g) or g.n < 3:
-        return "inapplicable", {"reason": "needs a tree on n >= 3"}, None
-    s = len(_support_vertices(g))
-    val = _product_value(g, h, cfg)
-    details = {"gamma_r_product": val, "bound": g.n + s, "supports": s}
-    ok = val <= g.n + s
-    return _verdict(ok, details)
-
-
-def _run_lex_upper_planar6(inst, cfg):
-    g, h = resolve_graph(inst["g"]), resolve_graph(inst["h"])
-    if not g.is_connected() or g.n < 2 or g.diameter() != 2 or not _is_planar(g):
-        return "inapplicable", {"reason": "needs a planar graph of diameter two"}, None
-    val = _product_value(g, h, cfg)
-    details = {"gamma_r_product": val}
-    ok = val <= 6
-    return _verdict(ok, details)
-
-
-def _run_lex_upper_4gamma(inst, cfg):
-    g, h = resolve_graph(inst["g"]), resolve_graph(inst["h"])
-    if g.n == 0 or g.min_degree() == 0 or h.is_complete():
-        return "inapplicable", {"reason": "needs no isolated vertex and noncomplete second factor"}, None
-    gamma = _val("gamma", g, cfg)
-    val = _product_value(g, h, cfg)
-    details = {"gamma_r_product": val, "gamma": gamma}
-    ok = val <= 4 * gamma
-    return _verdict(ok, details)
-
-
-def _run_lex_upper_gamma_gammar(inst, cfg):
-    g, h = resolve_graph(inst["g"]), resolve_graph(inst["h"])
-    if h.is_complete():
-        return "inapplicable", {"reason": "needs a noncomplete second factor"}, None
-    gamma = _val("gamma", g, cfg)
-    grh = _val("gamma_r", h, cfg)
-    val = _product_value(g, h, cfg)
-    details = {"gamma_r_product": val, "gamma": gamma, "gamma_r_h": grh}
-    ok = val <= gamma * grh
-    return _verdict(ok, details)
+def _lower_max_facts(g, h, cfg) -> dict:
+    facts = {inv: _val(inv, g, cfg) for inv in ("gamma_r", "gamma_t", "rho")}
+    facts["bound"] = max(facts["gamma_r"], facts["gamma_t"], 2 * facts["rho"])
+    return facts
 
 
 def _run_lex_upper_g2t(inst, cfg):
@@ -484,31 +443,6 @@ def _run_copy_lemma(inst, cfg):
                 }
                 return "violated", {"optima_checked": count}, witness
     return "holds", {"optima_checked": count}, None
-
-
-def _run_lex_lower_max(inst, cfg):
-    g, h = resolve_graph(inst["g"]), resolve_graph(inst["h"])
-    if g.n == 0 or g.min_degree() < 1 or h.is_complete():
-        return "inapplicable", {"reason": "needs minimum degree one and noncomplete second factor"}, None
-    gr = _val("gamma_r", g, cfg)
-    gt = _val("gamma_t", g, cfg)
-    rho = _val("rho", g, cfg)
-    bound = max(gr, gt, 2 * rho)
-    val = _val("gamma_r", lexicographic(g, h), _blind(cfg))
-    details = {"gamma_r_product": val, "gamma_r": gr, "gamma_t": gt, "rho": rho, "bound": bound}
-    ok = val >= bound
-    return _verdict(ok, details)
-
-
-def _run_tree_lower_2gamma(inst, cfg):
-    g, h = resolve_graph(inst["g"]), resolve_graph(inst["h"])
-    if not _is_tree(g) or h.is_complete():
-        return "inapplicable", {"reason": "needs a tree and a noncomplete second factor"}, None
-    gamma = _val("gamma", g, cfg)
-    val = _val("gamma_r", lexicographic(g, h), _blind(cfg))
-    details = {"gamma_r_product": val, "gamma": gamma}
-    ok = val >= 2 * gamma
-    return _verdict(ok, details)
 
 
 def _run_lex_complete_second(inst, cfg):
@@ -688,18 +622,6 @@ def _run_p3_lemma(inst, cfg):
     return _verdict(ok, details)
 
 
-def _run_comb_formula(inst, cfg):
-    n = int(inst["n"])
-    h = resolve_graph(inst["h"])
-    if n < 4 or _val("gamma", h, cfg) < 4:
-        return "inapplicable", {"reason": "needs n >= 4 and gamma(H) >= 4"}, None
-    want = closed_formula("gamma_r_lex_comb", n)
-    val = _val("gamma_r", lexicographic(comb(n), h), cfg)
-    details = {"gamma_r_product": val, "expected": want}
-    ok = val == want
-    return _verdict(ok, details)
-
-
 def _run_p4_reduction(inst, cfg):
     g = resolve_graph(inst["g"])
     h = resolve_graph(inst["h"])
@@ -720,29 +642,6 @@ def _run_p4_reduction(inst, cfg):
         "dropped_duplicates": red.dropped_duplicates,
     }
     ok = lhs == rhs
-    return _verdict(ok, details)
-
-
-def _run_cycle_lex(inst, cfg):
-    n = int(inst["n"])
-    h = resolve_graph(inst["h"])
-    if n < 3 or _val("gamma", h, cfg) < 4:
-        return "inapplicable", {"reason": "needs n >= 3 and gamma(H) >= 4"}, None
-    val = _val("gamma_r", lexicographic(cycle(n), h), cfg)
-    details = {"gamma_r_product": val, "expected": n}
-    ok = val == n
-    return _verdict(ok, details)
-
-
-def _run_path_lex(inst, cfg):
-    n = int(inst["n"])
-    h = resolve_graph(inst["h"])
-    if n < 2 or _val("gamma", h, cfg) < 4:
-        return "inapplicable", {"reason": "needs n >= 2 and gamma(H) >= 4"}, None
-    want = closed_formula("gamma_r_lex_path", n)
-    val = _val("gamma_r", lexicographic(path(n), h), cfg)
-    details = {"gamma_r_product": val, "expected": want}
-    ok = val == want
     return _verdict(ok, details)
 
 
@@ -824,36 +723,48 @@ REGISTRY: tuple[Claim, ...] = (
            {"g": "cocktail_party:3", "cycle": (0, 2, 4, 1, 3, 5), "_size": 6},
            {"g": "complete:6", "cycle": (0, 1, 2, 3, 4, 5), "_size": 6})),
     Claim("lex_upper_2gt", "inequality", "gamma_r(G o H) <= 2*gamma_t(G)", "g, h",
-          _run_lex_upper_2gt,
+          _lex_bound(lambda g, h: _no_isolated(g), "needs no isolated vertex",
+                     lambda g, h, cfg: {"gamma_t": _val("gamma_t", g, cfg)}, lambda val, f: val <= 2 * f["gamma_t"]),
           ({"g": "path:4", "h": _N4, "_size": 16}, {"g": "cycle:5", "h": "path:4", "_size": 20})),
     Claim("lex_upper_maxdeg4", "inequality",
           "gamma_r(G o H) <= 4 when max degree >= n-2 and no isolated vertex", "g, h",
-          _run_lex_upper_maxdeg4,
+          _lex_bound(lambda g, h: _no_isolated(g) and g.max_degree() >= g.n - 2,
+                     "needs no isolated vertex and max degree >= n-2", lambda g, h, cfg: {}, lambda val, f: val <= 4),
           ({"g": "star:3", "h": _N4, "_size": 16}, {"g": "complete:4", "h": "path:4", "_size": 16})),
     Claim("lex_upper_diam2", "inequality",
           "gamma_r(G o H) <= 2*(min degree + 1) for diameter-2 G", "g, h",
-          _run_lex_upper_diam2,
+          _lex_bound(lambda g, h: _diameter_two(g), "needs diameter two",
+                     lambda g, h, cfg: {"bound": 2 * (g.min_degree() + 1)}, lambda val, f: val <= f["bound"]),
           ({"g": "cycle:5", "h": _N4, "_size": 20},
            {"g": "complete_bipartite:2,3", "h": "path:3", "_size": 15})),
     Claim("lex_upper_two_thirds", "inequality",
           "gamma_r(G o H) <= 2*floor(2n/3) for connected G, n >= 3", "g, h",
-          _run_lex_upper_two_thirds,
+          _lex_bound(lambda g, h: g.n >= 3 and g.is_connected(), "needs a connected graph on n >= 3",
+                     lambda g, h, cfg: {"bound": closed_formula("two_thirds_bound", g.n)},
+                     lambda val, f: val <= f["bound"]),
           ({"g": "path:6", "h": _N4, "_size": 24}, {"g": "comb:6", "h": _N4, "_size": 24})),
     Claim("lex_upper_tree_ns", "inequality",
           "gamma_r(T o H) <= n + (number of support vertices) for trees", "g, h",
-          _run_lex_upper_tree_ns,
+          _lex_bound(lambda g, h: _is_tree(g) and g.n >= 3, "needs a tree on n >= 3",
+                     lambda g, h, cfg: {"bound": g.n + (s := len(_support_vertices(g))), "supports": s},
+                     lambda val, f: val <= f["bound"]),
           ({"g": "comb:7", "h": _N4, "_size": 28}, {"g": "star:4", "h": "path:5", "_size": 25})),
     Claim("lex_upper_planar6", "inequality",
           "gamma_r(G o H) <= 6 for planar diameter-2 G", "g, h",
-          _run_lex_upper_planar6,
+          _lex_bound(lambda g, h: _diameter_two(g) and _is_planar(g), "needs a planar graph of diameter two",
+                     lambda g, h, cfg: {}, lambda val, f: val <= 6),
           ({"g": "fig2_planar", "h": _N4, "_size": 36},)),
     Claim("lex_upper_4gamma", "inequality",
           "gamma_r(G o H) <= 4*gamma(G) for noncomplete H", "g, h",
-          _run_lex_upper_4gamma,
+          _lex_bound(lambda g, h: _no_isolated(g) and not h.is_complete(),
+                     "needs no isolated vertex and noncomplete second factor",
+                     lambda g, h, cfg: {"gamma": _val("gamma", g, cfg)}, lambda val, f: val <= 4 * f["gamma"]),
           ({"g": "path:5", "h": "empty:2", "_size": 10}, {"g": "comb:6", "h": _N4, "_size": 24})),
     Claim("lex_upper_gamma_gammar", "inequality",
           "gamma_r(G o H) <= gamma(G)*gamma_r(H) for noncomplete H", "g, h",
-          _run_lex_upper_gamma_gammar,
+          _lex_bound(lambda g, h: not h.is_complete(), "needs a noncomplete second factor",
+                     lambda g, h, cfg: {"gamma": _val("gamma", g, cfg), "gamma_r_h": _val("gamma_r", h, cfg)},
+                     lambda val, f: val <= f["gamma"] * f["gamma_r_h"]),
           ({"g": "path:4", "h": "path:4", "_size": 16}, {"g": "complete:3", "h": "cycle:5", "_size": 15})),
     Claim("lex_upper_g2t", "inequality",
           "for min degree 2: gamma_r(G) <= gamma_2t(G), gamma_2t(G o H) <= gamma_2t(G), gamma_r(G o H) <= gamma_2t(G)",
@@ -866,13 +777,18 @@ REGISTRY: tuple[Claim, ...] = (
           ({"g": "path:2", "h": "path:4", "_size": 8}, {"g": "cycle:4", "h": "empty:3", "_size": 12})),
     Claim("lex_lower_max", "inequality",
           "gamma_r(G o H) >= max(gamma_r(G), gamma_t(G), 2*rho(G))", "g, h",
-          _run_lex_lower_max,
+          _lex_bound(lambda g, h: _no_isolated(g) and not h.is_complete(),
+                     "needs minimum degree one and noncomplete second factor",
+                     _lower_max_facts, lambda val, f: val >= f["bound"], blind=True),
           ({"g": "path:4", "h": _N4, "_size": 16},
            {"g": "complete_bipartite:3,3", "h": "path:4", "_size": 24},
            {"g": "path:5", "h": "empty:2", "_size": 10})),
     Claim("tree_lower_2gamma", "inequality",
           "gamma_r(T o H) >= 2*gamma(T) for trees and noncomplete H", "g, h",
-          _run_tree_lower_2gamma,
+          _lex_bound(lambda g, h: _is_tree(g) and not h.is_complete(),
+                     "needs a tree and a noncomplete second factor",
+                     lambda g, h, cfg: {"gamma": _val("gamma", g, cfg)}, lambda val, f: val >= 2 * f["gamma"],
+                     blind=True),
           ({"g": "path:4", "h": "empty:2", "_size": 8},
            {"g": "star:3", "h": _N4, "_size": 16},
            {"g": "fig1_tree", "h": "empty:2", "_size": 12})),
@@ -926,7 +842,7 @@ REGISTRY: tuple[Claim, ...] = (
           ({"g": "edges:5:0-1,0-2,1-2,2-3,3-4", "triple": (2, 3, 4), "h": _N4, "_size": 20},)),
     Claim("comb_formula", "formula",
           "gamma_r(T_n o H) == 2*floor(2n/3) for combs, gamma(H) >= 4", "n, h",
-          _run_comb_formula,
+          _lex_family(comb, 4, lambda n: closed_formula("gamma_r_lex_comb", n)),
           ({"n": 6, "h": _N4, "_size": 24}, {"n": 7, "h": _N4, "_size": 28})),
     Claim("p4_reduction", "reduction",
           "gamma_r(G o H) == gamma_r(G* o H) + 4 for the degree-2 path contraction G*, gamma(H) >= 4",
@@ -935,11 +851,11 @@ REGISTRY: tuple[Claim, ...] = (
            {"g": "cycle:8", "quad": (0, 1, 2, 3), "h": _N4, "_size": 32},
            {"g": "cycle:6", "quad": (0, 1, 2, 3), "h": _N4, "_size": 24})),
     Claim("cycle_lex", "formula", "gamma_r(C_n o H) == n for gamma(H) >= 4", "n, h",
-          _run_cycle_lex,
+          _lex_family(cycle, 3, lambda n: n),
           tuple({"n": n, "h": _N4, "_size": 4 * n} for n in (3, 4, 5, 6, 7))),
     Claim("path_lex", "formula",
           "gamma_r(P_n o H) == n, n+2, n+1 as n mod 4 is 0, 2, odd, for gamma(H) >= 4", "n, h",
-          _run_path_lex,
+          _lex_family(path, 2, lambda n: closed_formula("gamma_r_lex_path", n)),
           tuple({"n": n, "h": _N4, "_size": 4 * n} for n in (2, 3, 4, 5, 6))),
     Claim("twoouterweights", "existence",
           "some optimal function has open copy-neighbourhood weight >= 2 at every copy", "g, h",

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,24 @@ def test_verify_strict_exit_4():
     code, _, _ = cli(["verify", "p4_reduction", "--g", "cycle:8", "--quad", "0,1,2,3",
                       "--h", "empty:4", "--strict"])
     assert code == 0
+
+
+@pytest.mark.parametrize("args, code, text", [
+    (["lex_lower_max", "--g", "path:4", "--h", "empty:4"], 0,
+     '{"schema": "1", "claim": "lex_lower_max", "instance": "g=path:4 h=empty:4", "verdict": "holds", '
+     '"details": {"gamma_r_product": 4, "gamma_r": 2, "gamma_t": 2, "rho": 2, "bound": 4}}'),
+    (["lex_upper_tree_ns", "--g", "cycle:5", "--h", "empty:4"], 0,
+     '{"schema": "1", "claim": "lex_upper_tree_ns", "instance": "g=cycle:5 h=empty:4", '
+     '"verdict": "inapplicable", "details": {"reason": "needs a tree on n >= 3"}}'),
+    (["cycle_lex", "--n", "5", "--h", "empty:4", "--budget", "50"], 3,
+     '{"schema": "1", "claim": "cycle_lex", "instance": "h=empty:4 n=5", "verdict": "budget-exceeded", '
+     '"details": {"lower": 3, "upper": 6, "invariant": "gamma_r"}}'),
+], ids=["holds", "inapplicable", "budget-exceeded"])
+def test_verify_json_bytes(args, code, text):
+    # verify --json keeps the report's key order; only the timing varies
+    got_code, out, _ = cli(["verify", *args, "--json"])
+    assert got_code == code
+    assert re.sub(r', "millis": [0-9.]+', "", out) == text + "\n"
 
 
 def test_verify_sweep():

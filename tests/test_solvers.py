@@ -1,7 +1,11 @@
 """Solvers: legion-function predicates, exact values, certificates, oracle
 agreement, enumeration of optima, determinism across shard counts."""
 
+import itertools
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from weakroman import (
     BudgetExceededError,
@@ -139,6 +143,25 @@ def test_certificates_validate_under_raw_predicates():
             res = solve(invariant, g)
             assert predicate(g, res.certificate)
             assert res.certificate.weight == res.value
+
+
+@st.composite
+def _small_graphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(_small_graphs())
+@settings(max_examples=80, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_rho_certificate_is_first_maximum_packing(g):
+    # combinations() runs in ascending lexicographic order, so the first
+    # 2-packing of the largest size is the canonical certificate
+    first = next(s for k in range(g.n, 0, -1) for s in itertools.combinations(range(g.n), k)
+                 if is_2packing(g, s))
+    assert sorted(solve("rho", g).certificate) == list(first)
 
 
 def test_undefined_invariant_errors():

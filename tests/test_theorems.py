@@ -1,5 +1,8 @@
 """Claim registry: formulas, structure finders, the reduction, verdicts."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from weakroman import (
@@ -142,6 +145,16 @@ def test_verify_all_uncapped():
         ("hk_value", "h=empty:2 k=4 sizes=(1, 1, 1, 1)", "violated"),
         ("p4_reduction", "g=cycle:6 h=empty:4 quad=(0, 1, 2, 3)", "violated"),
     ]
+
+
+def test_verify_all_matches_pinned_registry():
+    # the benchmark's pinned reports; the registry must reproduce each one
+    pinned = json.loads((Path(__file__).resolve().parent.parent / "bench" / "expected" / "registry.json")
+                        .read_text(encoding="utf-8"))
+    got = [(r.claim_id, r.instance, r.verdict, json.dumps(r.details, sort_keys=True))
+           for r in verify_all(max_n=32)]
+    want = [(p["claim"], p["instance"], p["verdict"], json.dumps(p["details"], sort_keys=True)) for p in pinned]
+    assert got == want
 
 
 def test_p4_boundary_probe_is_violated_and_revalidates():
