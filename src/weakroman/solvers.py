@@ -21,8 +21,13 @@ and its support; one small search gives it, and the weights below P are
 never searched.  :func:`_gamma_r_connected` proves the bound, and
 ``tests/test_support_bound.py`` checks it.  A greedy lookahead prunes a
 placement once the legions left cannot bring each closed copy
-neighbourhood still open to weight 2, which every optimal function puts
-there (the ``copy_lemma`` claim).
+neighbourhood still open to its demand.  The demand is weight 2, which
+every weak Roman dominating function puts there (the ``copy_lemma``
+claim).  Where lambda(H) was searched for the start, it is lambda(H) on
+the copies of N_G[s] for each support s of degree at least 2: the
+weights P was taken under, by the same proof.  The lookahead prunes if
+either of two greedy bounds exceeds the legions left: demand 2 in index
+order, or the raised demand with the support neighbourhoods first.
 
 Defence checkpoints.  The ``gamma_r`` search places legions in flat index
 order and checks a vertex's defence twice before the leaf: once its last
@@ -281,8 +286,9 @@ class SolverConfig:
     one sequential generator.  ``max_weight`` caps the weight of ``gamma_r``
     and ``gamma_R``, summed over the components.  ``product_pruning``
     enables, on lexicographic products, the product lower bound (with its
-    support-gadget packing term), the closed-copy-weight lookahead and the
-    per-copy Aut(H) cut; switching it off forces the structure-blind search
+    support-gadget packing term), the closed-copy-weight lookahead (weight
+    2, or lambda(H) on a support's copy neighbourhood) and the per-copy
+    Aut(H) cut; switching it off forces the structure-blind search
     (used when the claims that justify those prunes are themselves under
     test).
     """
@@ -520,11 +526,15 @@ def _solve_min_set(g: Graph, invariant: str, counter: _Counter) -> tuple[int, in
     return _lowest(lambda k: _min_sets(g, k, invariant, counter), max(1, lo), n, counter)
 
 
-def _heaviest_packing(g: Graph, weight: list[int], counter: _Counter) -> tuple[int, int]:
+def _heaviest_packing(g: Graph, weight: tuple[int, ...], counter: _Counter, proves: bool = False) -> tuple[int, int]:
     """(weight, mask) of the heaviest 2-packing of ``g`` under ``weight``: a
     branch and bound over the packings in ascending lexicographic order, cut
     once the weight of every vertex left cannot beat the best.  Only a strict
-    gain replaces the best, so the mask is the first heaviest packing."""
+    gain replaces the best, so the mask is the first heaviest packing.
+
+    With ``proves`` the packing's weight is the value sought (rho), so a
+    budget error reports the heaviest packing found so far as its lower end;
+    otherwise ``counter.lower`` is left as the caller set it."""
     n = g.n
     tail = [*itertools.accumulate(weight[::-1])][::-1] + [0]  # weight of the vertices from e on
     best = (0, 0)
@@ -534,6 +544,8 @@ def _heaviest_packing(g: Graph, weight: list[int], counter: _Counter) -> tuple[i
         counter.tick()
         if total > best[0]:
             best = (total, mask)
+            if proves:
+                counter.lower = total
         for e in range(start, n):
             if total + tail[e] <= best[0]:
                 return
@@ -711,6 +723,13 @@ class _WrdfSearch:
     undefended set, and the candidate is a node if that set misses the
     window just checked, and a hit if it is empty.
 
+    On a lexicographic product each node also runs the lookahead (see the
+    module docstring).  ``demand`` gives, per vertex x of G, the weight
+    that the copies of N_G[x] must reach: 2 everywhere, unless
+    :func:`_gamma_r_connected` raises it to lambda(H) on the supports.  A
+    raised demand adds a second greedy pass and keeps every cut of the
+    first, so it never adds a node.
+
     With ``symmetry`` the search keeps only functions that pass the twin
     rule and, on a lexicographic product, the per-copy Aut(H) cut (see the
     module docstring); without it, it yields every function.  ``core``
@@ -724,6 +743,7 @@ class _WrdfSearch:
         n = g.n
         self.core = (1 << n) - 1 if core is None else core
         self.twin = _prev_twins(g) if symmetry else (0,) * n
+        self.demand = None if ctx is None else (2,) * ctx.n_g
         self.leaders: dict[int, bool] = {}  # copy pattern (V2 << n_h | V1) -> _copy_is_leader
         self.common: dict[int, int] = {}  # the memo of _undefended
         # A vertex's defence is checked once its defenders are decided
@@ -774,23 +794,29 @@ class _WrdfSearch:
             h_auts = ctx.h_auts
             leaders = self.leaders
             w = [0] * n_g  # the weight placed on each closed copy neighbourhood
+            # (order, demand) per greedy pass: demand 2 in index order, and
+            # the raised demand with the support neighbourhoods first
+            passes = [(range(n_g), (2,) * n_g)]
+            if max(self.demand) > 2:
+                passes.append((sorted(range(n_g), key=lambda x: self.demand[x] == 2), self.demand))
 
             def lookahead(e: int, rem: int) -> bool:
-                # greedy disjoint lower bound on the weight that still has
+                # greedy disjoint lower bounds on the weight that still has
                 # to land in not-yet-decided closed copy neighbourhoods
-                need = 0
-                used = 0
-                for x in range(n_g):
-                    if copy_end[x] <= e:
-                        continue
-                    cm = closed_copy_mask[x]
-                    if cm & used:
-                        continue
-                    if w[x] < 2:
-                        need += 2 - w[x]
-                        if need > rem:
-                            return False
-                        used |= cm
+                for order, demand in passes:
+                    need = 0
+                    used = 0
+                    for x in order:
+                        if copy_end[x] <= e:
+                            continue
+                        cm = closed_copy_mask[x]
+                        if cm & used:
+                            continue
+                        if w[x] < demand[x]:
+                            need += demand[x] - w[x]
+                            if need > rem:
+                                return False
+                            used |= cm
                 return True
 
             def is_leader(x: int, m2: int, m1: int) -> bool:
@@ -981,7 +1007,11 @@ def _gamma_r_connected(search: _WrdfSearch, factor: Graph | None, counter: _Coun
       move, and whether the outer side stays positive after it, at no
       more weight: a function on P3 o H (copies l, s, outer) of the kind
       lambda(H) minimises.  By the first point lambda(H) >= 2, and a 2 on
-      copies l and s each gives lambda(H) <= 4."""
+      copies l and s each gives lambda(H) <= 4.
+
+    Both points hold for every weak Roman dominating function, not just
+    the optima, so the search's lookahead demands the same vertex weights
+    of each closed copy neighbourhood (``search.demand``)."""
     if search.ctx is not None:
         gr, _ = _gamma_r_connected(_WrdfSearch(factor, None), None, counter, cap)
         gt, tds = _solve_min_set(factor, "gamma_t", counter)
@@ -989,7 +1019,8 @@ def _gamma_r_connected(search: _WrdfSearch, factor: Graph | None, counter: _Coun
         v2 = sum(1 << (u * n_h) for u in _bits(tds))
         counter.witness = (search.g, LegionFunction(search.g.n, 0, v2))
         h = search.g.induced(search.ctx.h_full)
-        lo, hi = _packing_bound(factor, h, max(gr, gt), counter), 2 * gt
+        lo, search.demand = _packing_bound(factor, h, max(gr, gt), counter)
+        hi = 2 * gt
     else:
         gamma, dom = _solve_min_set(search.g, "gamma", counter)
         counter.witness = (search.g, LegionFunction(search.g.n, 0, dom))
@@ -997,23 +1028,30 @@ def _gamma_r_connected(search: _WrdfSearch, factor: Graph | None, counter: _Coun
     return _lowest(lambda t: search.at_weight(t, counter), lo, hi, counter, cap)
 
 
-def _packing_bound(factor: Graph, h: Graph, known: int, counter: _Counter) -> int:
-    """max(known, P), for P the support-gadget packing bound of
-    :func:`_gamma_r_connected` on ``factor`` o ``h``.
+def _packing_bound(factor: Graph, h: Graph, known: int, counter: _Counter) -> tuple[int, tuple[int, ...]]:
+    """(max(known, P), demand), for P the support-gadget packing bound of
+    :func:`_gamma_r_connected` on ``factor`` o ``h`` and ``demand`` the
+    vertex weights that P was taken under.
 
     lambda(H) is searched only if P with lambda(H) = 4 beats the bound
-    with lambda(H) = 2, and a budget error meanwhile reports that bound."""
+    with lambda(H) = 2, and a budget error meanwhile reports that bound.
+    Otherwise every vertex weighs 2 in ``demand``."""
     leaves = sum(1 << u for u in range(factor.n) if factor.adj[u].bit_count() == 1)
     support = [factor.adj[u] & leaves and factor.adj[u].bit_count() >= 2 for u in range(factor.n)]
 
-    def packing(lam: int) -> int:
-        return _heaviest_packing(factor, [lam if s else 2 for s in support], counter)[0]
+    def demand(lam: int) -> tuple[int, ...]:
+        return tuple(lam if s else 2 for s in support)
 
-    lo = max(known, packing(2))
-    if any(support) and packing(4) > lo:
+    def packing(weight: tuple[int, ...]) -> int:
+        return _heaviest_packing(factor, weight, counter)[0]
+
+    weight = demand(2)
+    lo = max(known, packing(weight))
+    if any(support) and packing(demand(4)) > lo:
         counter.lower = lo
-        lo = max(lo, packing(_support_cost(h, counter)))
-    return lo
+        weight = demand(_support_cost(h, counter))
+        lo = max(lo, packing(weight))
+    return lo, weight
 
 
 def _support_cost(h: Graph, counter: _Counter) -> int:
@@ -1086,7 +1124,8 @@ def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None =
             counter.witness = (sub, LegionFunction(sub.n, 0, dom))
             return _lowest(lambda t: _rdfs_at_weight(sub, t, counter), gamma, 2 * gamma, counter, cap)
         if invariant == "rho":
-            return _heaviest_packing(sub, [1] * sub.n, counter)
+            counter.lower = 1  # one vertex is a 2-packing
+            return _heaviest_packing(sub, (1,) * sub.n, counter, proves=True)
         return _solve_min_set(sub, invariant, counter)
 
     pieces = _pieces(g, lex=invariant == "gamma_r")
@@ -1122,10 +1161,13 @@ def enumerate_optimal_wrdf(g: Graph | ProductGraph, config: SolverConfig | None 
     def value_and_stream(piece, cap):
         verts, sub, factor, h = piece
         ctx = _product_ctx(factor, h, cfg)
-        val, _ = _gamma_r_connected(_WrdfSearch(sub, ctx), factor, counter, cap)
+        search = _WrdfSearch(sub, ctx)
+        val, _ = _gamma_r_connected(search, factor, counter, cap)
         # the symmetry cuts keep only orbit minima, so the optima come from
-        # a search with them off
-        return val, (verts, _WrdfSearch(sub, ctx, symmetry=False).at_weight(val, counter))
+        # a search with them off; the demand holds for every function
+        every = _WrdfSearch(sub, ctx, symmetry=False)
+        every.demand = search.demand
+        return val, (verts, every.at_weight(val, counter))
 
     solved = _solve_pieces(_pieces(g, lex=True), cfg, counter, value_and_stream)
     # the value is known: a budget error while streaming reports it

@@ -338,13 +338,30 @@ def test_shard_determinism():
     (gen.path(10), 199),
     (lexicographic(gen.cycle(5), gen.path(10)), 24477),
     (lexicographic(gen.comb(5), gen.path(10)), 2121),
-    (lexicographic(gen.path(5), gen.path(10)), 109918),
-    (lexicographic(gen.fig6_spider(), gen.empty(4)), 3561),
-    (lexicographic(gen.path(7), gen.path(10)), 7262),
+    (lexicographic(gen.path(5), gen.path(10)), 2719),
+    (lexicographic(gen.fig6_spider(), gen.empty(4)), 1687),
+    (lexicographic(gen.path(7), gen.path(10)), 2158),
+    (lexicographic(gen.path(6), gen.path(10)), 2256),
+    (lexicographic(gen.path(8), gen.path(10)), 2797),
 ], ids=["C4oP10", "C4ocorona(P4,K1)", "C5oempty4", "P3oC6", "fig6_spider", "C8", "P10", "C5oP10", "comb5oP10",
-        "P5oP10", "fig6_spideroempty4", "P7oP10"])
+        "P5oP10", "fig6_spideroempty4", "P7oP10", "P6oP10", "P8oP10"])
 def test_gamma_r_node_counts(g, nodes):
     assert solve("gamma_r", g).nodes == nodes
+
+
+# P6oP10 and P8oP10 took 293,509 and 1,662,493 nodes before the lookahead
+# asked lambda(P10) = 4 of each support neighbourhood; the value and the
+# canonical certificate are the ones that search found
+@pytest.mark.parametrize("g_n, v1", [
+    (6, [0, 1, 10, 11, 30, 31, 40, 41]),
+    (8, [10, 11, 20, 21, 50, 51, 60, 61]),
+], ids=["P6oP10", "P8oP10"])
+def test_raised_demand_keeps_canonical_certificate(g_n, v1):
+    p = lexicographic(gen.path(g_n), gen.path(10))
+    res = solve("gamma_r", p)
+    assert res.value == 8
+    assert res.certificate == LegionFunction.from_sets(p.graph.n, v1, ())
+    assert is_wrdf(p.graph, res.certificate)
 
 
 def test_budget_exceeded_reports_interval():
@@ -430,6 +447,24 @@ def test_minimum_dominating_sets_budget_covers_the_whole_graph():
         solve("gamma", double, SolverConfig(node_budget=10))
     assert intervals == [(3, 12), (4, 8)] and (exc.value.lower, exc.value.upper) == (4, 8)
     assert len(minimum_dominating_sets(double)) == 1
+
+
+@pytest.mark.parametrize("g, rho", [
+    (gen.path(30), 10),
+    (Graph.from_edges(12, [(i, i + 1) for i in (*range(5), *range(6, 11))]), 4),  # P6 + P6
+], ids=["P30", "P6+P6"])
+def test_rho_budget_reports_packing_found(g, rho):
+    # a budget error's lower end is the heaviest packing found so far in
+    # the open piece, at least 1 for each piece, and never above rho
+    pieces = len(g.components())
+    for budget in (1, 2, 3, 5, 10, 15):
+        try:
+            assert solve("rho", g, SolverConfig(node_budget=budget)).value == rho
+        except BudgetExceededError as exc:
+            assert pieces <= exc.lower <= rho <= exc.upper, budget
+    with pytest.raises(BudgetExceededError) as exc:
+        solve("rho", gen.path(30), SolverConfig(node_budget=20))
+    assert exc.value.lower == 10
 
 
 def test_product_route_agrees_with_blind_route():

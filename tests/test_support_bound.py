@@ -131,7 +131,31 @@ def test_packing_bound_never_exceeds_the_value(g, i):
     h = _POOL[i]
     p = lexicographic(g, h)
     assume(p.graph.n <= 32)
-    bound = _packing_bound(g, h, 0, _Counter(None, "gamma_r", 0))
+    bound, _ = _packing_bound(g, h, 0, _Counter(None, "gamma_r", 0))
     assert bound <= solve("gamma_r", p, _BLIND).value
     if p.graph.n <= 12:
         assert bound <= oracle("gamma_r", p)
+
+
+# lambda 3, 4, 3 and 3: the H whose support neighbourhoods the search asks
+# for more than weight 2
+_RAISED = (gen.empty(3), gen.empty(4), gen.cycle(6), gen.complete_bipartite(3, 3))
+
+
+@_SETTINGS
+@given(_connected(6), st.sampled_from(range(len(_RAISED))))
+def test_raised_demand_agrees_with_blind_search(g, i):
+    h = _RAISED[i]
+    p = lexicographic(g, h)
+    assume(_supports(g) and p.graph.n <= 32)
+    # the search raises the demand only where the start bound searched lambda
+    known = max(solve("gamma_r", g).value, solve("gamma_t", g).value)
+    _, demand = _packing_bound(g, h, known, _Counter(None, "gamma_r", 0))
+    assume(max(demand) > 2)
+    res = solve("gamma_r", p)
+    blind = solve("gamma_r", p, _BLIND)
+    assert (res.value, res.certificate) == (blind.value, blind.certificate)
+    if p.graph.n <= 18:
+        assert list(enumerate_optimal_wrdf(p)) == list(enumerate_optimal_wrdf(p, _BLIND))
+    if p.graph.n <= 12:
+        assert res.value == oracle("gamma_r", p)
