@@ -204,24 +204,34 @@ def _cmd_verify(args, stdout, stdin) -> int:
     return EXIT_OK
 
 
+def _cert_members(cert: dict, key: str, n: int) -> list[int]:
+    """``cert[key]`` (empty if absent), checked to be a list of vertices."""
+    members = cert.get(key, [])
+    if not isinstance(members, list) or any(type(v) is not int or not 0 <= v < n for v in members):
+        raise GraphError(f"certificate {key!r} must be a list of vertices 0..{n - 1}")
+    return members
+
+
 def _cmd_verify_cert(args, stdout, stdin) -> int:
     g = _read_graph(args.file, stdin)
     with open(args.cert, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise GraphError(f"certificate is not JSON: {exc}") from None
+    cert = payload.get("certificate", {}) if isinstance(payload, dict) else None
+    if not isinstance(cert, dict):
+        raise GraphError("certificate must be a JSON object with a 'certificate' object")
     invariant = args.invariant
     if payload.get("invariant") != invariant:
         raise GraphError(f"certificate is for {payload.get('invariant')!r}, not {invariant!r}")
     value = payload.get("value")
-    cert = payload.get("certificate", {})
     if invariant in FUNCTION_INVARIANTS:
-        subject = LegionFunction.from_sets(g.n, cert.get("V1", ()), cert.get("V2", ()))
+        subject = LegionFunction.from_sets(g.n, _cert_members(cert, "V1", g.n), _cert_members(cert, "V2", g.n))
         value_ok = subject.weight == value
     else:
-        members = cert.get("set", ())
-        subject = 0
-        for v in members:
-            subject |= 1 << int(v)
-        value_ok = len(list(members)) == value
+        subject = set(_cert_members(cert, "set", g.n))
+        value_ok = len(subject) == value
     predicate_ok = PREDICATES[invariant](g, subject)
     ok = predicate_ok and value_ok
     stdout.write(

@@ -5,15 +5,18 @@ Invariants: ``gamma`` (domination), ``gamma_t`` (total domination),
 ``gamma_R`` (Roman domination), ``gamma_r`` (weak Roman domination) and
 ``gamma_s`` (secure domination).
 
-Strategy.  Set-valued invariants use cardinality-iterative subset
-enumeration in ascending lexicographic order with branch-and-bound pruning
-on vertices that can no longer be covered.  The function-valued invariants
-iterate a target weight t upward from a computed lower bound and enumerate
-candidate (V2, V1) placements of that weight, rejecting candidates whose
-positive set cannot dominate before running the defence check.  When the
-input is a lexicographic product with a noncomplete second factor, the
-weight starts at the product lower bound max(gamma_r(G), gamma_t(G), P).
-This is the ``lex_lower_max`` claim with its term 2 rho(G) raised to P,
+Strategy.  ``gamma``, ``gamma_t`` and ``gamma_2t`` use cardinality-iterative
+subset enumeration in ascending lexicographic order with branch-and-bound
+pruning on vertices that can no longer be covered.  The function-valued
+invariants iterate a target weight t upward from a computed lower bound and
+enumerate candidate (V2, V1) placements of that weight, rejecting
+candidates whose positive set cannot dominate before running the defence
+check.  A secure dominating set is V1 of a weak Roman dominating function
+with V2 empty, so ``gamma_s`` runs the ``gamma_r`` search with V2 held
+empty, its size rising from 1.  When the input is a lexicographic product
+with a noncomplete second factor, the ``gamma_r`` weight starts at the
+product lower bound max(gamma_r(G), gamma_t(G), P).  This is the
+``lex_lower_max`` claim with its term 2 rho(G) raised to P,
 the heaviest 2-packing of G in which a support vertex of degree at least
 2 weighs lambda(H) and every other vertex weighs 2.  lambda(H) is the
 least weight on P3 o H that dominates and defends the copies of a leaf
@@ -29,15 +32,15 @@ weights P was taken under, by the same proof.  The lookahead prunes if
 either of two greedy bounds exceeds the legions left: demand 2 in index
 order, or the raised demand with the support neighbourhoods first.
 
-Defence checkpoints.  The ``gamma_r`` search places legions in flat index
+Defence checkpoints.  The weak Roman search places legions in flat index
 order and checks a vertex's defence twice before the leaf: once its last
 possible defender is decided, and again once its whole two-step
 neighbourhood is.  Two prefix masks per index (the due masks) give the
 vertices whose check falls due up to that index, so a step from index d to
 e checks all of them at once as one mask.  One bitmask kernel,
-:func:`_undefended`, runs those checks, the leaf test and the ``gamma_s``
-test; it returns the undefended vertices, and memoises the meet of the
-closed neighbourhoods that each breakable mask asks a mover to reach.
+:func:`_undefended`, runs those checks and the leaf test; it returns the
+undefended vertices, and memoises the meet of the closed neighbourhoods
+that each breakable mask asks a mover to reach.
 Each node stops its candidates at a horizon past which every check is
 known to fail, and the last legion's checks and the leaf test are one
 kernel call.
@@ -48,7 +51,7 @@ order - the lexicographic order of (sorted V2, sorted V1) index sequences
 certificate and an enumeration iterates on, so value, certificate, node
 count and budget verdict do not depend on anything but the input.
 
-Symmetry cuts.  The ``gamma_r`` search skips functions that a graph
+Symmetry cuts.  The weak Roman search skips functions that a graph
 automorphism maps to a smaller key (lex-leader cuts; Crawford, Ginsberg,
 Luks & Roy, KR 1996).  Two kinds of automorphism are used:
 
@@ -66,8 +69,8 @@ Roman dominating functions of the same weight, and every orbit has a least
 member, which passes both cuts.  So a weight with no surviving function has
 no function at all, and the canonical certificate, the least function of
 its weight, is found first as before.  The cuts drop optima, so
-:func:`enumerate_optimal_wrdf` streams its optima from a search with them
-off.
+:func:`enumerate_optimal_wrdf` streams its optima from the same search
+with them off.
 
 The :func:`oracle` function recomputes every invariant by an exhaustive
 scan (2^n subsets or 3^n functions) using only the raw definitional
@@ -77,7 +80,9 @@ cross-validate it.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 
@@ -430,8 +435,9 @@ def _defended(g: Graph, m2: int, m1: int, cov1: int, cov2: int, common: dict, co
 
     ``cov1``/``cov2`` are the vertices covered at least once/twice by the
     closed neighbourhoods of V1 | V2, and ``common`` is the memo of
-    :func:`_undefended` for ``g``.  With V2 empty this is the secure
-    domination test.
+    :func:`_undefended` for ``g``.  The weak Roman search runs it as the
+    leaf test when the whole weight sits in V2 (a last V1 legion runs the
+    kernel itself); with V2 empty it is the secure domination test.
     """
     if core is None:
         core = (1 << g.n) - 1
@@ -439,7 +445,7 @@ def _defended(g: Graph, m2: int, m1: int, cov1: int, cov2: int, common: dict, co
 
 
 # ---------------------------------------------------------------------------
-# Set-invariant search (gamma, gamma_t, gamma_2t, gamma_s, rho)
+# Set-invariant search (gamma, gamma_t, gamma_2t, rho)
 # ---------------------------------------------------------------------------
 
 
@@ -448,26 +454,20 @@ def _min_sets(g: Graph, k: int, kind: str, counter: _Counter):
     lexicographic.
 
     ``kind`` selects the coverage notion: closed neighbourhoods for
-    ``gamma``/``gamma_s`` (plus the defence test for the latter), open for
-    ``gamma_t``, doubled open for ``gamma_2t``.
+    ``gamma``, open for ``gamma_t``, doubled open for ``gamma_2t``.
     """
     n = g.n
     full = (1 << n) - 1
-    coverers = g.closed if kind in ("gamma", "gamma_s") else g.adj
+    coverers = g.closed if kind == "gamma" else g.adj
     # thresholds[i] = last index that can still cover order[i]
     order = sorted(range(n), key=lambda v: coverers[v].bit_length() - 1)
     thresholds = [coverers[v].bit_length() - 1 for v in order]
     double = kind == "gamma_2t"
-    secure = kind == "gamma_s"
-    common: dict[int, int] = {}
 
     def rec(start: int, mask: int, once: int, twice: int, slots: int, cp: int):
         counter.tick()
         if slots == 0:
-            if secure:
-                if _defended(g, 0, mask, once, twice, common):
-                    yield mask
-            elif (twice if double else once) == full:
+            if (twice if double else once) == full:
                 yield mask
             return
         for e in range(start, n - slots + 1):
@@ -506,10 +506,19 @@ def minimum_dominating_sets(g: Graph | ProductGraph, config: SolverConfig | None
         k, _ = _solve_min_set(sub, "gamma", counter)
         return k, [_lift(m, verts) for m in _min_sets(sub, k, "gamma", counter)]
 
-    per_comp = [sets for _, sets in _solve_pieces(_pieces(g, lex=False), cfg, counter, minimum_sets)]
-    out = [sum(chosen) for chosen in itertools.product(*per_comp)]
-    out.sort(key=lambda m: tuple(_bits(m)))
-    return [VertexSet(flat.n, m) for m in out]
+    per_comp = [[(m,) for m in sets] for _, sets in _solve_pieces(_pieces(g), cfg, counter, minimum_sets)]
+    return [VertexSet(flat.n, m) for m, in _combine(per_comp)]
+
+
+def _combine(per_piece: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """Every choice of one hit per piece, each hit a tuple of lifted masks:
+    the tuples ORed together, sorted by the sorted bits of each mask in
+    turn.  By component additivity these are all the optima of the whole
+    graph, in canonical order."""
+    out = [tuple(functools.reduce(operator.or_, masks) for masks in zip(*chosen))
+           for chosen in itertools.product(*per_piece)]
+    out.sort(key=lambda masks: tuple(tuple(_bits(m)) for m in masks))
+    return out
 
 
 def _solve_min_set(g: Graph, invariant: str, counter: _Counter) -> tuple[int, int]:
@@ -519,11 +528,9 @@ def _solve_min_set(g: Graph, invariant: str, counter: _Counter) -> tuple[int, in
         lo = -(-n // (g.max_degree() + 1))
     elif invariant == "gamma_t":
         lo = 1 if n == 1 else 2
-    elif invariant == "gamma_2t":
-        lo = min(3, n)
     else:
-        lo = 1
-    return _lowest(lambda k: _min_sets(g, k, invariant, counter), max(1, lo), n, counter)
+        lo = min(3, n)
+    return _lowest(lambda k: _min_sets(g, k, invariant, counter), lo, n, counter)
 
 
 def _heaviest_packing(g: Graph, weight: tuple[int, ...], counter: _Counter, proves: bool = False) -> tuple[int, int]:
@@ -670,36 +677,6 @@ def _copy_is_leader(p2: int, p1: int, auts: tuple[tuple[int, ...], ...]) -> bool
     return True
 
 
-@dataclass(frozen=True)
-class _LexContext:
-    """Structure tables for searching a connected lexicographic product."""
-
-    n_g: int
-    n_h: int
-    copy_nbhd: tuple[tuple[int, ...], ...]   # flat vertex -> closed factor neighbourhood of its copy
-    closed_copy_mask: tuple[int, ...]        # closed factor neighbourhoods, as copy bitmasks
-    copy_end: tuple[int, ...]     # last flat index of the closed copy neighbourhood
-    h_full: int
-    h_auts: tuple[tuple[int, ...], ...]  # _automorphisms(H), each acting on one copy at a time
-
-
-def _product_ctx(factor: Graph | None, h: Graph | None, cfg: SolverConfig) -> _LexContext | None:
-    """Lex-product tables for a connected piece, or None when the
-    structure-blind search applies (no factors, pruning off, or complete H)."""
-    if factor is None or h is None or not cfg.product_pruning or h.is_complete():
-        return None
-    nh = h.n
-    return _LexContext(
-        n_g=factor.n,
-        n_h=nh,
-        copy_nbhd=tuple(tuple(_bits(factor.closed[i // nh])) for i in range(factor.n * nh)),
-        closed_copy_mask=factor.closed,
-        copy_end=tuple((factor.closed[u].bit_length()) * nh - 1 for u in range(factor.n)),
-        h_full=(1 << nh) - 1,
-        h_auts=_automorphisms(h),
-    )
-
-
 class _WrdfSearch:
     """Weak Roman dominating functions of one connected piece, weight by
     weight, in canonical (sorted V2, sorted V1) order.
@@ -712,7 +689,7 @@ class _WrdfSearch:
     function of the placement alone, so checking a window at once prunes
     exactly what one check at a time would.  The tables, the Aut(H) leader
     memo and the kernel's memo (``common``) depend on the graph alone, so
-    they serve every weight.
+    they are built once and serve every call of :meth:`at_weight`.
 
     Each node first computes its horizon: the index from which every
     placement must fail, because a vertex still uncovered has no coverer
@@ -723,27 +700,25 @@ class _WrdfSearch:
     undefended set, and the candidate is a node if that set misses the
     window just checked, and a hit if it is empty.
 
-    On a lexicographic product each node also runs the lookahead (see the
-    module docstring).  ``demand`` gives, per vertex x of G, the weight
-    that the copies of N_G[x] must reach: 2 everywhere, unless
-    :func:`_gamma_r_connected` raises it to lambda(H) on the supports.  A
-    raised demand adds a second greedy pass and keeps every cut of the
-    first, so it never adds a node.
+    ``factor`` and ``h`` are G and H when the piece is G o H searched with
+    its product structure (see :func:`_pieces`), else None.  Then each
+    node also runs the lookahead (see the module docstring).  ``demand``
+    gives, per vertex x of G, the weight that the copies of N_G[x] must
+    reach: 2 everywhere, unless :func:`_gamma_r_connected` raises it to
+    lambda(H) on the supports.  A raised demand adds a second greedy pass
+    and keeps every cut of the first, so it never adds a node.
 
-    With ``symmetry`` the search keeps only functions that pass the twin
-    rule and, on a lexicographic product, the per-copy Aut(H) cut (see the
-    module docstring); without it, it yields every function.  ``core``
-    (every vertex by default) is the set that must be dominated and
+    ``core`` (every vertex by default) is the set that must be dominated and
     defended, and stay dominated after each defending move; the vertices
     outside it only hold legions."""
 
-    def __init__(self, g: Graph, ctx: _LexContext | None, symmetry: bool = True, core: int | None = None):
+    def __init__(self, g: Graph, factor: Graph | None = None, h: Graph | None = None, core: int | None = None):
         self.g = g
-        self.ctx = ctx
+        self.factor = factor
+        self.h = h
         n = g.n
         self.core = (1 << n) - 1 if core is None else core
-        self.twin = _prev_twins(g) if symmetry else (0,) * n
-        self.demand = None if ctx is None else (2,) * ctx.n_g
+        self.twin = _prev_twins(g)
         self.leaders: dict[int, bool] = {}  # copy pattern (V2 << n_h | V1) -> _copy_is_leader
         self.common: dict[int, int] = {}  # the memo of _undefended
         # A vertex's defence is checked once its defenders are decided
@@ -765,12 +740,24 @@ class _WrdfSearch:
             due2[k + 1] |= due2[k]
         self.due1 = tuple(due1)
         self.due2 = tuple(due2)
-        # copy x is decided, and its Aut(H) cut due, at flat index (x + 1) n_h - 1
-        self.aut_cut = ctx is not None and symmetry and bool(ctx.h_auts)
+        # the closed copy neighbourhoods whose weight a legion at e adds to
+        self.copy_nbhd = ((),) * n
+        if factor is not None:
+            n_h = h.n
+            self.copy_nbhd = tuple(tuple(_bits(factor.closed[i // n_h])) for i in range(n))
+            # the last flat index of each closed copy neighbourhood
+            self.copy_end = tuple(factor.closed[u].bit_length() * n_h - 1 for u in range(factor.n))
+            self.h_auts = _automorphisms(h)  # each acting on one copy at a time
+            self.demand = (2,) * factor.n
 
-    def at_weight(self, t: int, counter: _Counter):
-        """Generator of the (m2, m1) of weight exactly t, rooted at the
-        empty placement."""
+    def at_weight(self, t: int, counter: _Counter, symmetry: bool = True, v2_cap: int | None = None):
+        """Generator of the (m2, m1) of weight exactly t with at most
+        ``v2_cap`` vertices in V2 (no cap by default), rooted at the empty
+        placement.
+
+        With ``symmetry`` it keeps only functions that pass the twin rule
+        and, on a product, the per-copy Aut(H) cut (see the module
+        docstring); without it, it yields every function."""
         g = self.g
         n = g.n
         adj = g.adj
@@ -778,20 +765,22 @@ class _WrdfSearch:
         core = self.core
         due1 = self.due1
         due2 = self.due2
-        aut_cut = self.aut_cut
-        twin = self.twin
+        twin = self.twin if symmetry else (0,) * n
         common = self.common
-        ctx = self.ctx
+        copy_nbhd = self.copy_nbhd
+        v2_max = t // 2 if v2_cap is None else min(t // 2, v2_cap)
+        factor = self.factor
         lookahead = None
-        copy_nbhd = ((),) * n  # the closed copy neighbourhoods whose weight a legion at e adds to
-        if ctx is not None:
-            copy_nbhd = ctx.copy_nbhd
-            h_full = ctx.h_full
-            n_h = ctx.n_h
-            n_g = ctx.n_g
-            copy_end = ctx.copy_end
-            closed_copy_mask = ctx.closed_copy_mask
-            h_auts = ctx.h_auts
+        aut_cut = False
+        if factor is not None:
+            n_h = self.h.n
+            h_full = (1 << n_h) - 1
+            n_g = factor.n
+            copy_end = self.copy_end
+            closed_copy_mask = factor.closed
+            h_auts = self.h_auts
+            # copy x is decided, and its Aut(H) cut due, at flat index (x + 1) n_h - 1
+            aut_cut = symmetry and bool(h_auts)
             leaders = self.leaders
             w = [0] * n_g  # the weight placed on each closed copy neighbourhood
             # (order, demand) per greedy pass: demand 2 in index order, and
@@ -917,7 +906,7 @@ class _WrdfSearch:
             if lookahead is not None and not lookahead(-1, t - 2 * size):
                 return
             yield from dfs_v1(0, m2, 0, t - 2 * size, cov1, cov2)
-            if size < t // 2:
+            if size < v2_max:
                 for j in range(last + 1, n):
                     if twin[j] & ~m2:
                         continue
@@ -950,34 +939,35 @@ def _flat(invariant: str, g: Graph | ProductGraph) -> Graph:
     return flat
 
 
-def _pieces(g: Graph | ProductGraph, lex: bool) -> list[tuple[list[int], Graph, Graph | None, Graph | None]]:
+def _pieces(g: Graph | ProductGraph, lex: bool = False,
+            pruning: bool = True) -> list[tuple[list[int], Graph, Graph | None, Graph | None]]:
     """The connected pieces solved separately, as (sorted flat vertices,
-    piece graph, factor component, H).
+    piece graph, G component, H).
 
     With ``lex`` a lexicographic product splits along the components of its
-    first factor and keeps both factors of each piece; the factor component
-    is None when the piece is a single copy of H.  Otherwise the pieces are
+    first factor.  A piece keeps its factors, for the weak Roman search to
+    use, unless it is a single copy of H, ``pruning`` is off or H is
+    complete: then the search is structure-blind.  Otherwise the pieces are
     the flat components and carry no factors.
     """
     if lex and isinstance(g, ProductGraph) and g.kind == "lexicographic":
+        h = g.h_factor if pruning and not g.h_factor.is_complete() else None
         out = []
         for comp in g.g_factor.components():
             flat_mask = 0
             for u in comp:
                 flat_mask |= g.copies[u]
-            factor = g.g_factor.induced(comp) if len(comp) > 1 else None
+            factor = g.g_factor.induced(comp) if h is not None and len(comp) > 1 else None
             sub = g.graph.induced(VertexSet(g.graph.n, flat_mask))
-            out.append((list(_bits(flat_mask)), sub, factor, g.h_factor if factor is not None else None))
+            out.append((list(_bits(flat_mask)), sub, factor, h if factor is not None else None))
         return out
     flat = g.graph if isinstance(g, ProductGraph) else g
     comps = flat.components()
     return [(sorted(c), flat.induced(c) if len(comps) > 1 else flat, None, None) for c in comps]
 
 
-def _gamma_r_connected(search: _WrdfSearch, factor: Graph | None, counter: _Counter,
-                       cap: int | None) -> tuple[int, tuple[int, int]]:
-    """(value, (m2, m1)) for a connected piece; ``factor`` is its first
-    factor when ``search`` carries lexicographic structure.
+def _gamma_r_connected(search: _WrdfSearch, counter: _Counter, cap: int | None) -> tuple[int, tuple[int, int]]:
+    """(value, (m2, m1)) for a connected piece.
 
     The weight rises from a proven lower bound to the weight of a witness
     with every V0 vertex next to V2, which is also the piece's upper bound
@@ -986,11 +976,11 @@ def _gamma_r_connected(search: _WrdfSearch, factor: Graph | None, counter: _Coun
     (2 gamma_t(G)).  The factor's own search leaves a witness on the
     factor graph, which does not count for the piece.
 
-    On a product G o H (H not complete, so n_h >= 2) the lower bound is
-    max(gamma_r(G), gamma_t(G), P): P is the heaviest 2-packing of G in
-    which a support vertex of degree >= 2 weighs lambda(H)
-    (:func:`_support_cost`) and every other vertex weighs 2, so with no
-    such support P = 2 rho(G).  Every weak Roman dominating function f puts
+    On a product G o H searched with its factors (H not complete, so
+    n_h >= 2) the lower bound is max(gamma_r(G), gamma_t(G), P): P is the
+    heaviest 2-packing of G in which a support vertex of degree >= 2 weighs
+    lambda(H) (:func:`_support_cost`) and every other vertex weighs 2, so
+    with no such support P = 2 rho(G).  Every weak Roman dominating function f puts
     at least the weight of u on the copies of N_G[u], and the closed
     neighbourhoods of a 2-packing are disjoint, so their weights add:
 
@@ -1012,18 +1002,19 @@ def _gamma_r_connected(search: _WrdfSearch, factor: Graph | None, counter: _Coun
     Both points hold for every weak Roman dominating function, not just
     the optima, so the search's lookahead demands the same vertex weights
     of each closed copy neighbourhood (``search.demand``)."""
-    if search.ctx is not None:
-        gr, _ = _gamma_r_connected(_WrdfSearch(factor, None), None, counter, cap)
+    g = search.g
+    factor = search.factor
+    if factor is not None:
+        gr, _ = _gamma_r_connected(_WrdfSearch(factor), counter, cap)
         gt, tds = _solve_min_set(factor, "gamma_t", counter)
-        n_h = search.ctx.n_h
+        n_h = search.h.n
         v2 = sum(1 << (u * n_h) for u in _bits(tds))
-        counter.witness = (search.g, LegionFunction(search.g.n, 0, v2))
-        h = search.g.induced(search.ctx.h_full)
-        lo, search.demand = _packing_bound(factor, h, max(gr, gt), counter)
+        counter.witness = (g, LegionFunction(g.n, 0, v2))
+        lo, search.demand = _packing_bound(factor, search.h, max(gr, gt), counter)
         hi = 2 * gt
     else:
-        gamma, dom = _solve_min_set(search.g, "gamma", counter)
-        counter.witness = (search.g, LegionFunction(search.g.n, 0, dom))
+        gamma, dom = _solve_min_set(g, "gamma", counter)
+        counter.witness = (g, LegionFunction(g.n, 0, dom))
         lo, hi = gamma, 2 * gamma
     return _lowest(lambda t: search.at_weight(t, counter), lo, hi, counter, cap)
 
@@ -1063,8 +1054,8 @@ def _support_cost(h: Graph, counter: _Counter) -> int:
     searched.  The search makes no symmetry cut, because twins of P3 o H
     may lie on both sides of the two copies."""
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    search = _WrdfSearch(lexicographic(p3, h).graph, None, symmetry=False, core=(1 << 2 * h.n) - 1)
-    return next((t for t in (2, 3) if next(search.at_weight(t, counter), None) is not None), 4)
+    search = _WrdfSearch(lexicographic(p3, h).graph, core=(1 << 2 * h.n) - 1)
+    return next((t for t in (2, 3) if next(search.at_weight(t, counter, symmetry=False), None) is not None), 4)
 
 
 def _solve_pieces(pieces, cfg: SolverConfig, counter: _Counter, solve_piece) -> list:
@@ -1118,7 +1109,13 @@ def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None =
     def solve_piece(piece, cap):
         _, sub, factor, h = piece
         if invariant == "gamma_r":
-            return _gamma_r_connected(_WrdfSearch(sub, _product_ctx(factor, h, cfg)), factor, counter, cap)
+            return _gamma_r_connected(_WrdfSearch(sub, factor, h), counter, cap)
+        if invariant == "gamma_s":
+            # a secure dominating set is V1 of a weak Roman dominating
+            # function with V2 empty
+            search = _WrdfSearch(sub)
+            k, (_, m1) = _lowest(lambda k: search.at_weight(k, counter, v2_cap=0), 1, sub.n, counter)
+            return k, m1
         if invariant == "gamma_R":
             gamma, dom = _solve_min_set(sub, "gamma", counter)
             counter.witness = (sub, LegionFunction(sub.n, 0, dom))
@@ -1128,7 +1125,7 @@ def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None =
             return _heaviest_packing(sub, (1,) * sub.n, counter, proves=True)
         return _solve_min_set(sub, invariant, counter)
 
-    pieces = _pieces(g, lex=invariant == "gamma_r")
+    pieces = _pieces(g, lex=invariant == "gamma_r", pruning=cfg.product_pruning)
     solved = _solve_pieces(pieces, cfg, counter, solve_piece)
     total = 0
     set_mask = 0
@@ -1160,16 +1157,13 @@ def enumerate_optimal_wrdf(g: Graph | ProductGraph, config: SolverConfig | None 
 
     def value_and_stream(piece, cap):
         verts, sub, factor, h = piece
-        ctx = _product_ctx(factor, h, cfg)
-        search = _WrdfSearch(sub, ctx)
-        val, _ = _gamma_r_connected(search, factor, counter, cap)
-        # the symmetry cuts keep only orbit minima, so the optima come from
-        # a search with them off; the demand holds for every function
-        every = _WrdfSearch(sub, ctx, symmetry=False)
-        every.demand = search.demand
-        return val, (verts, every.at_weight(val, counter))
+        search = _WrdfSearch(sub, factor, h)
+        val, _ = _gamma_r_connected(search, counter, cap)
+        # the symmetry cuts keep only orbit minima, so the optima stream
+        # with them off; the demand holds for every function
+        return val, (verts, search.at_weight(val, counter, symmetry=False))
 
-    solved = _solve_pieces(_pieces(g, lex=True), cfg, counter, value_and_stream)
+    solved = _solve_pieces(_pieces(g, lex=True, pruning=cfg.product_pruning), cfg, counter, value_and_stream)
     # the value is known: a budget error while streaming reports it
     counter.lower = counter.upper = sum(val for val, _ in solved)
     streams = [stream for _, stream in solved]
@@ -1180,19 +1174,9 @@ def enumerate_optimal_wrdf(g: Graph | ProductGraph, config: SolverConfig | None 
             yield LegionFunction(flat.n, _lift(m1, verts), _lift(m2, verts))
         return
 
-    # disconnected: take the cross product of per-component optima and
-    # re-sort globally (component additivity makes this exhaustive)
     lists = [[(_lift(m2, verts), _lift(m1, verts)) for m2, m1 in stream] for verts, stream in streams]
-    combos = []
-    for chosen in itertools.product(*lists):
-        gm2 = 0
-        gm1 = 0
-        for m2, m1 in chosen:
-            gm2 |= m2
-            gm1 |= m1
-        combos.append(LegionFunction(flat.n, gm1, gm2))
-    combos.sort(key=lambda f: f.key())
-    yield from combos
+    for m2, m1 in _combine(lists):
+        yield LegionFunction(flat.n, m1, m2)
 
 
 def is_weak_roman_graph(g: Graph, config: SolverConfig | None = None) -> bool:

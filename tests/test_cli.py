@@ -198,6 +198,42 @@ def test_verify_cert_set_invariant(tmp_path):
     assert code == 0 and "VALID" in out
 
 
+def _cert_payload(invariant, certificate, value=1):
+    return json.dumps({"schema": "1", "invariant": invariant, "n": 3, "value": value,
+                       "certificate": certificate})
+
+
+@pytest.mark.parametrize("invariant, text", [
+    ("gamma", "{not json"),
+    ("gamma", "[1]"),
+    ("gamma", _cert_payload("gamma", [1])),
+    ("gamma", _cert_payload("gamma", {"set": [-1]})),
+    ("gamma", _cert_payload("gamma", {"set": ["1"]})),
+    ("gamma", _cert_payload("gamma", {"set": [1.5]})),
+    ("gamma", _cert_payload("gamma", {"set": 1})),
+    ("gamma_r", _cert_payload("gamma_r", {"V1": [-1], "V2": []})),
+    ("gamma_r", _cert_payload("gamma_r", {"V1": ["a"], "V2": []})),
+], ids=["not-json", "not-object", "certificate-not-object", "negative-member", "string-member",
+        "float-member", "set-not-list", "negative-V1", "string-V1"])
+def test_verify_cert_malformed_input_exit_2(tmp_path, invariant, text):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(cli(["generate", "path", "3"])[1])
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(text)
+    code, out, err = cli(["verify-cert", invariant, str(graph_file), "--cert", str(cert_file)])
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_verify_cert_value_counts_distinct_vertices(tmp_path):
+    # {1, 1} is the dominating set {1} of P3, of size 1, not 2
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(cli(["generate", "path", "3"])[1])
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(_cert_payload("gamma", {"set": [1, 1]}, value=2))
+    code, out, _ = cli(["verify-cert", "gamma", str(graph_file), "--cert", str(cert_file)])
+    assert code == 2 and "INVALID" in out and "predicate=true value_matches=false" in out
+
+
 def test_random_generate_deterministic():
     _, a, _ = cli(["generate", "random", "8", "0.3", "--seed", "7"])
     _, b, _ = cli(["generate", "random", "8", "0.3", "--seed", "7"])

@@ -1,6 +1,6 @@
 """The defence kernel against the raw definitions on small random graphs.
 
-``_defended`` (the leaf test of the gamma_r and gamma_s searches) must agree
+``_defended`` (the leaf test of the weak Roman search) must agree
 with ``is_wrdf`` and ``is_secure_dominating``; the kernel ``_undefended``
 must return exactly the V0 vertices that no legal move defends, vertex by
 vertex, which is what lets the search fold its last checks into the leaf;
@@ -120,9 +120,9 @@ def test_search_yields_every_wrdf_of_each_weight(g):
         f = LegionFunction.from_values(values)
         if f.weight <= g.n and is_wrdf(g, f):
             by_weight.setdefault(f.weight, set()).add((f.v2_mask, f.v1_mask))
-    search = _WrdfSearch(g, None, symmetry=False)
+    search = _WrdfSearch(g)
     for t in range(g.n + 1):
-        found = list(search.at_weight(t, _Counter(None, "gamma_r", g.n)))
+        found = list(search.at_weight(t, _Counter(None, "gamma_r", g.n), symmetry=False))
         assert set(found) == by_weight.get(t, set())
         # each function once, in canonical (sorted V2, sorted V1) order
         keys = [LegionFunction(g.n, m1, m2).key() for m2, m1 in found]

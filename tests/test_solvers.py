@@ -153,15 +153,20 @@ def _small_graphs(draw, max_n=10):
     return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
 
 
-@given(_small_graphs())
+# combinations() runs in ascending lexicographic order, so the first
+# 2-packing of the largest size, or the first secure dominating set of the
+# smallest, is the canonical certificate; for gamma_s this guards the twin
+# rule of the weak Roman search, which it runs with V2 empty
+@pytest.mark.parametrize("invariant, sizes, predicate", [
+    ("rho", lambda n: range(n, 0, -1), is_2packing),
+    ("gamma_s", lambda n: range(1, n + 1), is_secure_dominating),
+], ids=["rho", "gamma_s"])
+@given(g=_small_graphs())
 @settings(max_examples=80, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_rho_certificate_is_first_maximum_packing(g):
-    # combinations() runs in ascending lexicographic order, so the first
-    # 2-packing of the largest size is the canonical certificate
-    first = next(s for k in range(g.n, 0, -1) for s in itertools.combinations(range(g.n), k)
-                 if is_2packing(g, s))
-    assert sorted(solve("rho", g).certificate) == list(first)
+def test_rho_certificate_is_first_maximum_packing(invariant, sizes, predicate, g):
+    first = next(s for k in sizes(g.n) for s in itertools.combinations(range(g.n), k) if predicate(g, s))
+    assert sorted(solve(invariant, g).certificate) == list(first)
 
 
 def test_undefined_invariant_errors():
