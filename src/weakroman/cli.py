@@ -222,10 +222,17 @@ def _cmd_verify_cert(args, stdout, stdin) -> int:
     cert = payload.get("certificate", {}) if isinstance(payload, dict) else None
     if not isinstance(cert, dict):
         raise GraphError("certificate must be a JSON object with a 'certificate' object")
+    if payload.get("schema") != "1":
+        raise GraphError(f"certificate schema is {payload.get('schema')!r}, expected '1'")
     invariant = args.invariant
     if payload.get("invariant") != invariant:
         raise GraphError(f"certificate is for {payload.get('invariant')!r}, not {invariant!r}")
+    n = payload.get("n")
+    if type(n) is not int or n != g.n:
+        raise GraphError(f"certificate is for {n!r} vertices, the graph has {g.n}")
     value = payload.get("value")
+    if type(value) is not int:
+        raise GraphError(f"certificate value {value!r} is not an integer")
     if invariant in FUNCTION_INVARIANTS:
         subject = LegionFunction.from_sets(g.n, _cert_members(cert, "V1", g.n), _cert_members(cert, "V2", g.n))
         value_ok = subject.weight == value

@@ -205,13 +205,6 @@ class LegionFunction:
         return f"LegionFunction(V1={sorted(self.v1)}, V2={sorted(self.v2)})"
 
 
-def _positive_dominates(g: Graph, positive: int) -> bool:
-    cover = positive
-    for v in _bits(positive):
-        cover |= g.adj[v]
-    return cover == (1 << g.n) - 1
-
-
 def is_undefended(g: Graph, f: LegionFunction, v: int) -> bool:
     """No legion anywhere in the closed neighbourhood of v."""
     g._check_vertex(v)
@@ -235,7 +228,7 @@ def is_wrdf(g: Graph, f: LegionFunction) -> bool:
             moved = pos | bv
             if f.v1_mask >> u & 1:
                 moved &= ~(1 << u)
-            if _positive_dominates(g, moved):
+            if is_dominating(g, moved):
                 defended = True
                 break
         if not defended:
@@ -349,7 +342,7 @@ class _Counter:
     """The node budget, and the interval a budget error reports.
 
     ``lower`` and ``upper`` are the bounds a budget error raised here
-    carries; :func:`_solve_pieces` widens them to the whole graph.
+    carries; :func:`_solve_graph` widens them to the whole graph.
     ``witness`` is (graph, f): a legion function that bounds the open piece
     from above, once one is known.  It is re-checked only if a budget error
     is raised."""
@@ -497,24 +490,22 @@ def _lift(mask: int, verts) -> int:
 
 def minimum_dominating_sets(g: Graph | ProductGraph, config: SolverConfig | None = None) -> list[VertexSet]:
     """Every minimum dominating set, ascending lexicographic order."""
-    cfg = config or SolverConfig()
-    flat = _flat("gamma", g)
-    counter = _Counter(cfg.node_budget, "gamma", flat.n)
 
-    def minimum_sets(piece, cap):
+    def minimum_sets(piece, cap, counter):
         verts, sub, _, _ = piece
         k, _ = _solve_min_set(sub, "gamma", counter)
-        return k, [_lift(m, verts) for m in _min_sets(sub, k, "gamma", counter)]
+        return k, [(_lift(m, verts),) for m in _min_sets(sub, k, "gamma", counter)]
 
-    per_comp = [[(m,) for m in sets] for _, sets in _solve_pieces(_pieces(g), cfg, counter, minimum_sets)]
-    return [VertexSet(flat.n, m) for m, in _combine(per_comp)]
+    flat, _, solved = _solve_graph("gamma", g, config, minimum_sets)
+    return [VertexSet(flat.n, m) for m, in _combine([hits for _, hits in solved])]
 
 
-def _combine(per_piece: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
-    """Every choice of one hit per piece, each hit a tuple of lifted masks:
-    the tuples ORed together, sorted by the sorted bits of each mask in
-    turn.  By component additivity these are all the optima of the whole
-    graph, in canonical order."""
+def _combine(per_piece: list) -> list[tuple[int, ...]]:
+    """Every choice of one hit per piece, from an iterable of hits per
+    piece, each hit a tuple of lifted masks: the tuples ORed together,
+    sorted by the sorted bits of each mask in turn.  Given every optimum
+    of each piece, by component additivity these are all the optima of
+    the whole graph, in canonical order."""
     out = [tuple(functools.reduce(operator.or_, masks) for masks in zip(*chosen))
            for chosen in itertools.product(*per_piece)]
     out.sort(key=lambda masks: tuple(tuple(_bits(m)) for m in masks))
@@ -569,39 +560,31 @@ def _heaviest_packing(g: Graph, weight: tuple[int, ...], counter: _Counter, prov
 
 
 def _rdfs_at_weight(g: Graph, t: int, counter: _Counter):
-    """Generator of Roman dominating functions (m2, m1) of weight exactly t,
-    one per feasible V2 in ascending sequence order; the first is the
-    canonically smallest.
+    """Generator of the Roman dominating functions (m2, m1) of weight
+    exactly t whose V1 is forced, V1 = V minus N[V2], one per V2 in
+    ascending sequence order; the first is the canonically smallest.
 
-    Given V2, the vertices left undominated by V2 are forced into V1, and
-    the remaining V1 slots are filled with the smallest free indices; so
-    only V2 is searched.
+    Only V2 is searched.  That finds every function of weight t when no
+    weight below t has one, as :func:`_lowest` ensures by raising t from
+    gamma(G).  Each V0 vertex needs a V2 neighbour, so V1 holds the forced
+    set.  Dropping the rest of V1 leaves a Roman dominating function
+    (V2, forced V1), of weight at least gamma(G) since V1 | V2 dominates.
+    So a function of weight t with a larger V1 would give one of a weight
+    in gamma(G)..t - 1.
     """
     n = g.n
     full = (1 << n) - 1
 
-    def rec(last: int, m2: int, size: int):
+    def rec(last: int, m2: int, size: int, dom: int):
         counter.tick()
-        k1 = t - 2 * size
-        cover2 = 0
-        for u in _bits(m2):
-            cover2 |= g.adj[u]
-        m1 = full & ~m2 & ~cover2
-        extra = k1 - m1.bit_count()
-        if extra >= 0 and n - size >= k1:
-            for v in range(n):
-                if extra == 0:
-                    break
-                bv = 1 << v
-                if not (m2 | m1) & bv:
-                    m1 |= bv
-                    extra -= 1
+        m1 = full & ~dom
+        if 2 * size + m1.bit_count() == t:
             yield m2, m1
         if size < t // 2:
             for j in range(last + 1, n):
-                yield from rec(j, m2 | (1 << j), size + 1)
+                yield from rec(j, m2 | (1 << j), size + 1, dom | g.closed[j])
 
-    return rec(-1, 0, 0)
+    return rec(-1, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,9 +1041,13 @@ def _support_cost(h: Graph, counter: _Counter) -> int:
     return next((t for t in (2, 3) if next(search.at_weight(t, counter, symmetry=False), None) is not None), 4)
 
 
-def _solve_pieces(pieces, cfg: SolverConfig, counter: _Counter, solve_piece) -> list:
-    """``solve_piece(piece, cap)`` -> (value, hit) on each piece in turn, with
-    ``max_weight`` and the budget error's interval taken over the whole graph.
+def _solve_graph(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None, solve_piece,
+                 lex: bool = False) -> tuple[Graph, _Counter, list]:
+    """(flat graph, counter, [(value, hits)]) for ``invariant`` on ``g``:
+    ``solve_piece(piece, cap, counter)`` run on each piece of
+    :func:`_pieces` in turn, returning the piece's value and its hits lifted
+    to flat indices, with ``max_weight`` and the budget error's interval
+    taken over the whole graph.
 
     Every piece has value at least 1 and at most its vertex count (f = 1
     everywhere, or the whole vertex set).  So a piece may use what the cap
@@ -1070,6 +1057,10 @@ def _solve_pieces(pieces, cfg: SolverConfig, counter: _Counter, solve_piece) -> 
     open piece's upper bound is the weight of its witness, if it has one
     that the raw predicate accepts.
     """
+    cfg = config or SolverConfig()
+    flat = _flat(invariant, g)
+    counter = _Counter(cfg.node_budget, invariant, flat.n)
+    pieces = _pieces(g, lex, cfg.product_pruning)
     solved = 0
     out = []
     for i, piece in enumerate(pieces):
@@ -1078,7 +1069,7 @@ def _solve_pieces(pieces, cfg: SolverConfig, counter: _Counter, solve_piece) -> 
         counter.lower = 0
         counter.witness = None
         try:
-            val, hit = solve_piece(piece, cap)
+            val, hits = solve_piece(piece, cap, counter)
         except BudgetExceededError as exc:
             sub = piece[1]
             upper = sub.n
@@ -1089,93 +1080,80 @@ def _solve_pieces(pieces, cfg: SolverConfig, counter: _Counter, solve_piece) -> 
             upper += solved + sum(p[1].n for p in later)
             raise BudgetExceededError(exc.invariant, solved + exc.lower + len(later), upper) from None
         solved += val
-        out.append((val, hit))
-    return out
+        out.append((val, hits))
+    return flat, counter, out
 
 
 def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None = None) -> SolveResult:
     """Exact optimum with a canonical certificate.
 
-    Disconnected graphs are solved per component and summed.  ``gamma_t``
-    requires no isolated vertex and ``gamma_2t`` requires minimum degree
-    two; both raise :class:`UndefinedInvariantError` otherwise, as does the
-    graph on zero vertices.
+    Disconnected graphs are solved per component and summed (for
+    ``gamma_r`` on a lexicographic product G o H, per component of G), and
+    the certificate is the union of the components' canonical certificates.
+    For a set invariant that union is the least optimal set of the whole
+    graph.  For ``gamma_r`` and ``gamma_R`` it need not be the least
+    (sorted V2, sorted V1) optimum, as V2 is compared first: on P3
+    centred at 0 plus K1,3 centred at 1, P3's least optimum leaves V2
+    empty, while a 2 on vertex 0 gives the whole graph the smaller V2
+    {0, 1}.
+    ``gamma_t`` requires no isolated vertex and ``gamma_2t`` requires
+    minimum degree two; both raise :class:`UndefinedInvariantError`
+    otherwise, as does the graph on zero vertices.
     """
-    cfg = config or SolverConfig()
-    flat = _flat(invariant, g)
     started = time.perf_counter()
-    counter = _Counter(cfg.node_budget, invariant, flat.n)
 
-    def solve_piece(piece, cap):
-        _, sub, factor, h = piece
+    def solve_piece(piece, cap, counter):
+        verts, sub, factor, h = piece
         if invariant == "gamma_r":
-            return _gamma_r_connected(_WrdfSearch(sub, factor, h), counter, cap)
-        if invariant == "gamma_s":
+            val, hit = _gamma_r_connected(_WrdfSearch(sub, factor, h), counter, cap)
+        elif invariant == "gamma_s":
             # a secure dominating set is V1 of a weak Roman dominating
             # function with V2 empty
             search = _WrdfSearch(sub)
-            k, (_, m1) = _lowest(lambda k: search.at_weight(k, counter, v2_cap=0), 1, sub.n, counter)
-            return k, m1
-        if invariant == "gamma_R":
+            val, (_, hit) = _lowest(lambda k: search.at_weight(k, counter, v2_cap=0), 1, sub.n, counter)
+        elif invariant == "gamma_R":
             gamma, dom = _solve_min_set(sub, "gamma", counter)
             counter.witness = (sub, LegionFunction(sub.n, 0, dom))
-            return _lowest(lambda t: _rdfs_at_weight(sub, t, counter), gamma, 2 * gamma, counter, cap)
-        if invariant == "rho":
+            val, hit = _lowest(lambda t: _rdfs_at_weight(sub, t, counter), gamma, 2 * gamma, counter, cap)
+        elif invariant == "rho":
             counter.lower = 1  # one vertex is a 2-packing
-            return _heaviest_packing(sub, (1,) * sub.n, counter, proves=True)
-        return _solve_min_set(sub, invariant, counter)
-
-    pieces = _pieces(g, lex=invariant == "gamma_r", pruning=cfg.product_pruning)
-    solved = _solve_pieces(pieces, cfg, counter, solve_piece)
-    total = 0
-    set_mask = 0
-    m1_mask = 0
-    m2_mask = 0
-    for (verts, _, _, _), (val, hit) in zip(pieces, solved):
-        total += val
-        if invariant in FUNCTION_INVARIANTS:
-            m2, m1 = hit
-            m1_mask |= _lift(m1, verts)
-            m2_mask |= _lift(m2, verts)
+            val, hit = _heaviest_packing(sub, (1,) * sub.n, counter, proves=True)
         else:
-            set_mask |= _lift(hit, verts)
+            val, hit = _solve_min_set(sub, invariant, counter)
+        masks = hit if invariant in FUNCTION_INVARIANTS else (hit,)
+        return val, [tuple(_lift(m, verts) for m in masks)]
 
+    flat, counter, solved = _solve_graph(invariant, g, config, solve_piece, lex=invariant == "gamma_r")
+    (masks,) = _combine([hits for _, hits in solved])
     if invariant in FUNCTION_INVARIANTS:
-        certificate: VertexSet | LegionFunction = LegionFunction(flat.n, m1_mask, m2_mask)
+        m2, m1 = masks
+        certificate: VertexSet | LegionFunction = LegionFunction(flat.n, m1, m2)
     else:
-        certificate = VertexSet(flat.n, set_mask)
+        certificate = VertexSet(flat.n, masks[0])
     millis = (time.perf_counter() - started) * 1000.0
-    return SolveResult(invariant, total, certificate, counter.nodes, millis)
+    return SolveResult(invariant, sum(val for val, _ in solved), certificate, counter.nodes, millis)
 
 
 def enumerate_optimal_wrdf(g: Graph | ProductGraph, config: SolverConfig | None = None):
     """Yield every weak Roman dominating function of minimum weight, each
-    exactly once, in canonical order."""
-    cfg = config or SolverConfig()
-    flat = _flat("gamma_r", g)
-    counter = _Counter(cfg.node_budget, "gamma_r", flat.n)
+    exactly once, in canonical order.  On a disconnected graph the first
+    may be smaller than the certificate of :func:`solve`."""
 
-    def value_and_stream(piece, cap):
+    def value_and_stream(piece, cap, counter):
         verts, sub, factor, h = piece
         search = _WrdfSearch(sub, factor, h)
         val, _ = _gamma_r_connected(search, counter, cap)
         # the symmetry cuts keep only orbit minima, so the optima stream
         # with them off; the demand holds for every function
-        return val, (verts, search.at_weight(val, counter, symmetry=False))
+        stream = search.at_weight(val, counter, symmetry=False)
+        return val, ((_lift(m2, verts), _lift(m1, verts)) for m2, m1 in stream)
 
-    solved = _solve_pieces(_pieces(g, lex=True, pruning=cfg.product_pruning), cfg, counter, value_and_stream)
+    flat, counter, solved = _solve_graph("gamma_r", g, config, value_and_stream, lex=True)
     # the value is known: a budget error while streaming reports it
     counter.lower = counter.upper = sum(val for val, _ in solved)
-    streams = [stream for _, stream in solved]
-
-    if len(streams) == 1:
-        verts, stream = streams[0]
-        for m2, m1 in stream:
-            yield LegionFunction(flat.n, _lift(m1, verts), _lift(m2, verts))
-        return
-
-    lists = [[(_lift(m2, verts), _lift(m1, verts)) for m2, m1 in stream] for verts, stream in streams]
-    for m2, m1 in _combine(lists):
+    streams = [hits for _, hits in solved]
+    # one piece streams its optima as they come; several are combined
+    for m2, m1 in streams[0] if len(streams) == 1 else _combine(streams):
         yield LegionFunction(flat.n, m1, m2)
 
 

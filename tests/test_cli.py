@@ -198,8 +198,8 @@ def test_verify_cert_set_invariant(tmp_path):
     assert code == 0 and "VALID" in out
 
 
-def _cert_payload(invariant, certificate, value=1):
-    return json.dumps({"schema": "1", "invariant": invariant, "n": 3, "value": value,
+def _cert_payload(invariant, certificate, value=1, schema="1", n=3):
+    return json.dumps({"schema": schema, "invariant": invariant, "n": n, "value": value,
                        "certificate": certificate})
 
 
@@ -213,8 +213,12 @@ def _cert_payload(invariant, certificate, value=1):
     ("gamma", _cert_payload("gamma", {"set": 1})),
     ("gamma_r", _cert_payload("gamma_r", {"V1": [-1], "V2": []})),
     ("gamma_r", _cert_payload("gamma_r", {"V1": ["a"], "V2": []})),
+    ("gamma", _cert_payload("gamma", {"set": [1]}, schema="7")),
+    ("gamma", _cert_payload("gamma", {"set": [1]}, n=99)),
+    ("gamma", _cert_payload("gamma", {"set": [1]}, value=True)),
 ], ids=["not-json", "not-object", "certificate-not-object", "negative-member", "string-member",
-        "float-member", "set-not-list", "negative-V1", "string-V1"])
+        "float-member", "set-not-list", "negative-V1", "string-V1", "wrong-schema", "wrong-n",
+        "bool-value"])
 def test_verify_cert_malformed_input_exit_2(tmp_path, invariant, text):
     graph_file = tmp_path / "g.txt"
     graph_file.write_text(cli(["generate", "path", "3"])[1])

@@ -169,6 +169,34 @@ def test_rho_certificate_is_first_maximum_packing(invariant, sizes, predicate, g
     assert sorted(solve(invariant, g).certificate) == list(first)
 
 
+@st.composite
+def _connected_graphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, tree | {e for e, k in zip(pairs, keep) if k})
+
+
+# an optimal Roman dominating function has V1 = V minus N[V2], so the
+# canonical certificate is the optimum with the least sorted V2
+@given(g=_connected_graphs())
+@settings(max_examples=80, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_gamma_R_certificate_has_least_v2(g):
+    best = None
+    for k in range(g.n + 1):
+        for v2 in itertools.combinations(range(g.n), k):
+            v1 = tuple(v for v in range(g.n) if not any(g.closed[u] >> v & 1 for u in v2))
+            f = LegionFunction.from_sets(g.n, v1, v2)
+            assert is_rdf(g, f)
+            if best is None or (f.weight, f.key()) < (best.weight, best.key()):
+                best = f
+    res = solve("gamma_R", g)
+    assert res.value == best.weight
+    assert res.certificate.key() == best.key()
+
+
 def test_undefined_invariant_errors():
     lonely = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(UndefinedInvariantError):
@@ -187,6 +215,18 @@ def test_component_additivity():
     double = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])  # P3 + P3
     for invariant in ("gamma", "gamma_r", "gamma_R", "gamma_s", "rho"):
         assert solve(invariant, double).value == 2 * solve(invariant, p3).value
+
+
+def test_disconnected_certificate_is_the_union_of_component_certificates():
+    # for gamma_r and gamma_R the union of the components' least optima need
+    # not be the least optimum of the whole graph: V2 is compared first
+    p3_k13 = Graph.from_edges(7, [(0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])  # centres 0 and 1
+    assert solve("gamma_r", p3_k13).certificate.key() == ((1,), (0, 2))
+    assert next(enumerate_optimal_wrdf(p3_k13)).key() == ((0, 1), ())
+    k2_k13 = Graph.from_edges(6, [(0, 1), (2, 3), (2, 4), (2, 5)])  # centre 2
+    res = solve("gamma_R", k2_k13)
+    assert res.value == 4 and res.certificate.key() == ((2,), (0, 1))
+    assert is_rdf(k2_k13, LegionFunction.from_sets(6, [], [0, 2]))
 
 
 def test_domination_chain_random():
