@@ -7,14 +7,23 @@ Invariants: ``gamma`` (domination), ``gamma_t`` (total domination),
 
 Strategy.  ``gamma``, ``gamma_t`` and ``gamma_2t`` use cardinality-iterative
 subset enumeration in ascending lexicographic order with branch-and-bound
-pruning on vertices that can no longer be covered.  The function-valued
-invariants iterate a target weight t upward from a computed lower bound and
-enumerate candidate (V2, V1) placements of that weight, rejecting
-candidates whose positive set cannot dominate before running the defence
-check.  A secure dominating set is V1 of a weak Roman dominating function
-with V2 empty, so ``gamma_s`` runs the ``gamma_r`` search with V2 held
-empty, its size rising from 1.  When the input is a lexicographic product
-with a noncomplete second factor, the ``gamma_r`` weight starts at the
+pruning on vertices that can no longer be covered, and on a coverage
+deficit no vertex left can make up.  A feasible set covers every vertex
+once (``gamma``, ``gamma_t``) or twice (``gamma_2t``), a goal of n or 2n in
+|once| + |twice|, and one chosen vertex raises that sum by at most its
+coverer size, |N[v]| or |N(v)|.  So k more vertices, taken from index e
+on, make up at most k times the largest coverer there, and the size rises
+from ceil(goal / largest coverer).  The function-valued invariants iterate
+a target weight t upward from a computed lower bound and enumerate
+candidate (V2, V1) placements of that weight, rejecting candidates whose
+positive set cannot dominate before running the defence check.  Every
+Roman and every weak Roman dominating function has a dominating positive
+set V1 | V2, so |V1| + |V2| = t - |V2| >= gamma(G) and the plain searches
+cap |V2| at t - gamma(G).  A secure dominating set is V1 of a weak Roman
+dominating function with V2 empty, so ``gamma_s`` runs the ``gamma_r``
+search with V2 held empty, its size rising from ceil(n / (Delta + 1)), as
+the set dominates.  When the input is a lexicographic product with a
+noncomplete second factor, the ``gamma_r`` weight starts at the
 product lower bound max(gamma_r(G), gamma_t(G), P).  This is the
 ``lex_lower_max`` claim with its term 2 rho(G) raised to P,
 the heaviest 2-packing of G in which a support vertex of degree at least
@@ -442,32 +451,62 @@ def _defended(g: Graph, m2: int, m1: int, cov1: int, cov2: int, common: dict, co
 # ---------------------------------------------------------------------------
 
 
+def _cover_table(g: Graph, kind: str) -> tuple[list[int], int, list[int]]:
+    """(coverers, goal, most) for the set search of ``kind``.
+
+    ``coverers`` are the closed neighbourhoods for ``gamma`` and the open
+    ones for ``gamma_t`` and ``gamma_2t``.  ``goal`` is the coverage a
+    feasible set reaches, n (every vertex once) or 2n for ``gamma_2t``
+    (every vertex twice).  ``most[e]`` is the largest coverer size among the
+    vertices from index e on, with most[n] = 0."""
+    coverers = g.closed if kind == "gamma" else g.adj
+    goal = 2 * g.n if kind == "gamma_2t" else g.n
+    most = [0] * (g.n + 1)
+    for e in range(g.n - 1, -1, -1):
+        most[e] = max(most[e + 1], coverers[e].bit_count())
+    return coverers, goal, most
+
+
 def _min_sets(g: Graph, k: int, kind: str, counter: _Counter):
     """Generator of the feasible sets of size exactly k, ascending
     lexicographic.
 
     ``kind`` selects the coverage notion: closed neighbourhoods for
     ``gamma``, open for ``gamma_t``, doubled open for ``gamma_2t``.
+
+    Two prunes cut branches that hold no feasible set.  A vertex none of
+    whose coverers can still be chosen is dead.  And the deficit, the goal
+    of :func:`_cover_table` minus |once| (minus |twice| too for
+    ``gamma_2t``), must be coverable: a chosen vertex raises |once| +
+    |twice| by at most its coverer size, so with ``slots`` vertices left
+    to pick from index e on, a deficit above most[e] * slots is final.  A
+    node stops its candidates there, and skips a candidate e whose child
+    deficit exceeds most[e + 1] * (slots - 1).
     """
     n = g.n
     full = (1 << n) - 1
-    coverers = g.closed if kind == "gamma" else g.adj
+    coverers, goal, most = _cover_table(g, kind)
     # thresholds[i] = last index that can still cover order[i]
     order = sorted(range(n), key=lambda v: coverers[v].bit_length() - 1)
     thresholds = [coverers[v].bit_length() - 1 for v in order]
     double = kind == "gamma_2t"
 
-    def rec(start: int, mask: int, once: int, twice: int, slots: int, cp: int):
+    def rec(start: int, mask: int, once: int, twice: int, slots: int, cp: int, deficit: int):
         counter.tick()
         if slots == 0:
             if (twice if double else once) == full:
                 yield mask
             return
         for e in range(start, n - slots + 1):
+            if deficit > most[e] * slots:
+                break
             cover = coverers[e]
             o2 = once | cover
             t2 = twice | (once & cover)
             need = t2 if double else o2
+            left = goal - o2.bit_count() - (t2.bit_count() if double else 0)
+            if left > most[e + 1] * (slots - 1):
+                continue
             # advance fully decided vertices; a vertex none of whose
             # coverers can still be chosen is dead
             cp2 = cp
@@ -475,9 +514,9 @@ def _min_sets(g: Graph, k: int, kind: str, counter: _Counter):
                 cp2 += 1
             if cp2 < n and thresholds[cp2] <= e:
                 continue
-            yield from rec(e + 1, mask | (1 << e), o2, t2, slots - 1, cp2)
+            yield from rec(e + 1, mask | (1 << e), o2, t2, slots - 1, cp2, left)
 
-    return rec(0, 0, 0, 0, k, 0)
+    return rec(0, 0, 0, 0, k, 0, goal)
 
 
 def _lift(mask: int, verts) -> int:
@@ -513,15 +552,16 @@ def _combine(per_piece: list) -> list[tuple[int, ...]]:
 
 
 def _solve_min_set(g: Graph, invariant: str, counter: _Counter) -> tuple[int, int]:
-    """(value, certificate mask) for a connected component."""
-    n = g.n
-    if invariant == "gamma":
-        lo = -(-n // (g.max_degree() + 1))
-    elif invariant == "gamma_t":
-        lo = 1 if n == 1 else 2
-    else:
-        lo = min(3, n)
-    return _lowest(lambda k: _min_sets(g, k, invariant, counter), lo, n, counter)
+    """(value, certificate mask) for a connected component.
+
+    The size rises from ceil(goal / most[0]) (see :func:`_cover_table`):
+    each chosen vertex adds at most most[0] to |once| + |twice|, which a
+    feasible set raises from 0 to the goal.  For ``gamma`` that is
+    ceil(n / (Delta + 1)); for ``gamma_t`` ceil(n / Delta) >= 2 and for
+    ``gamma_2t`` ceil(2n / Delta) >= 3, as Delta <= n - 1."""
+    _, goal, most = _cover_table(g, invariant)
+    lo = -(-goal // most[0])
+    return _lowest(lambda k: _min_sets(g, k, invariant, counter), lo, g.n, counter)
 
 
 def _heaviest_packing(g: Graph, weight: tuple[int, ...], counter: _Counter, proves: bool = False) -> tuple[int, int]:
@@ -559,10 +599,11 @@ def _heaviest_packing(g: Graph, weight: tuple[int, ...], counter: _Counter, prov
 # ---------------------------------------------------------------------------
 
 
-def _rdfs_at_weight(g: Graph, t: int, counter: _Counter):
+def _rdfs_at_weight(g: Graph, t: int, gamma: int, counter: _Counter):
     """Generator of the Roman dominating functions (m2, m1) of weight
     exactly t whose V1 is forced, V1 = V minus N[V2], one per V2 in
     ascending sequence order; the first is the canonically smallest.
+    ``gamma`` is gamma(G).
 
     Only V2 is searched.  That finds every function of weight t when no
     weight below t has one, as :func:`_lowest` ensures by raising t from
@@ -571,16 +612,20 @@ def _rdfs_at_weight(g: Graph, t: int, counter: _Counter):
     (V2, forced V1), of weight at least gamma(G) since V1 | V2 dominates.
     So a function of weight t with a larger V1 would give one of a weight
     in gamma(G)..t - 1.
+
+    V2 grows to at most min(t // 2, t - gamma): the positive set V1 | V2
+    dominates, so |V1| + |V2| = t - |V2| >= gamma.
     """
     n = g.n
     full = (1 << n) - 1
+    v2_max = min(t // 2, t - gamma)
 
     def rec(last: int, m2: int, size: int, dom: int):
         counter.tick()
         m1 = full & ~dom
         if 2 * size + m1.bit_count() == t:
             yield m2, m1
-        if size < t // 2:
+        if size < v2_max:
             for j in range(last + 1, n):
                 yield from rec(j, m2 | (1 << j), size + 1, dom | g.closed[j])
 
@@ -959,6 +1004,12 @@ def _gamma_r_connected(search: _WrdfSearch, counter: _Counter, cap: int | None) 
     (2 gamma_t(G)).  The factor's own search leaves a witness on the
     factor graph, which does not count for the piece.
 
+    Searched without factors, the lower bound is gamma(G), and V2 holds at
+    most t - gamma(G) vertices at weight t: every V0 vertex has a defender
+    in V1 | V2, so the positive set dominates and |V1| + |V2| = t - |V2| >=
+    gamma(G).  The cap drops only placements that hold no function, so the
+    first hit and the value stay the same.
+
     On a product G o H searched with its factors (H not complete, so
     n_h >= 2) the lower bound is max(gamma_r(G), gamma_t(G), P): P is the
     heaviest 2-packing of G in which a support vertex of degree >= 2 weighs
@@ -995,11 +1046,12 @@ def _gamma_r_connected(search: _WrdfSearch, counter: _Counter, cap: int | None) 
         counter.witness = (g, LegionFunction(g.n, 0, v2))
         lo, search.demand = _packing_bound(factor, search.h, max(gr, gt), counter)
         hi = 2 * gt
+        gamma = 0  # not searched on the product: V2 is capped by t // 2 alone
     else:
         gamma, dom = _solve_min_set(g, "gamma", counter)
         counter.witness = (g, LegionFunction(g.n, 0, dom))
         lo, hi = gamma, 2 * gamma
-    return _lowest(lambda t: search.at_weight(t, counter), lo, hi, counter, cap)
+    return _lowest(lambda t: search.at_weight(t, counter, v2_cap=t - gamma), lo, hi, counter, cap)
 
 
 def _packing_bound(factor: Graph, h: Graph, known: int, counter: _Counter) -> tuple[int, tuple[int, ...]]:
@@ -1108,13 +1160,15 @@ def solve(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None =
             val, hit = _gamma_r_connected(_WrdfSearch(sub, factor, h), counter, cap)
         elif invariant == "gamma_s":
             # a secure dominating set is V1 of a weak Roman dominating
-            # function with V2 empty
+            # function with V2 empty; it dominates, so its size rises from
+            # ceil(n / (Delta + 1))
             search = _WrdfSearch(sub)
-            val, (_, hit) = _lowest(lambda k: search.at_weight(k, counter, v2_cap=0), 1, sub.n, counter)
+            lo = -(-sub.n // (sub.max_degree() + 1))
+            val, (_, hit) = _lowest(lambda k: search.at_weight(k, counter, v2_cap=0), lo, sub.n, counter)
         elif invariant == "gamma_R":
             gamma, dom = _solve_min_set(sub, "gamma", counter)
             counter.witness = (sub, LegionFunction(sub.n, 0, dom))
-            val, hit = _lowest(lambda t: _rdfs_at_weight(sub, t, counter), gamma, 2 * gamma, counter, cap)
+            val, hit = _lowest(lambda t: _rdfs_at_weight(sub, t, gamma, counter), gamma, 2 * gamma, counter, cap)
         elif invariant == "rho":
             counter.lower = 1  # one vertex is a 2-packing
             val, hit = _heaviest_packing(sub, (1,) * sub.n, counter, proves=True)

@@ -91,7 +91,7 @@ def test_python_dash_m_pipeline():
 
 def test_budget_exit_3():
     _, edge_list, _ = cli(["generate", "path", "10"])
-    code, _, err = cli(["solve", "gamma_r", "--budget", "5"], stdin_text=edge_list)
+    code, _, err = cli(["solve", "gamma_r", "--budget", "4"], stdin_text=edge_list)
     assert code == 3 and "budget exceeded" in err
     # the budget runs out before gamma(P10) is known: the upper end is f = 1
     assert "value in [4, 10]" in err
@@ -145,7 +145,7 @@ def test_verify_strict_exit_4():
     (["lex_upper_tree_ns", "--g", "cycle:5", "--h", "empty:4"], 0,
      '{"schema": "1", "claim": "lex_upper_tree_ns", "instance": "g=cycle:5 h=empty:4", '
      '"verdict": "inapplicable", "details": {"reason": "needs a tree on n >= 3"}}'),
-    (["cycle_lex", "--n", "5", "--h", "empty:4", "--budget", "50"], 3,
+    (["cycle_lex", "--n", "5", "--h", "empty:4", "--budget", "20"], 3,
      '{"schema": "1", "claim": "cycle_lex", "instance": "h=empty:4 n=5", "verdict": "budget-exceeded", '
      '"details": {"lower": 3, "upper": 6, "invariant": "gamma_r"}}'),
 ], ids=["holds", "inapplicable", "budget-exceeded"])

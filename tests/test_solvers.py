@@ -154,19 +154,43 @@ def _small_graphs(draw, max_n=10):
 
 
 # combinations() runs in ascending lexicographic order, so the first
-# 2-packing of the largest size, or the first secure dominating set of the
-# smallest, is the canonical certificate; for gamma_s this guards the twin
-# rule of the weak Roman search, which it runs with V2 empty
+# 2-packing of the largest size, or the first feasible set of the smallest,
+# is the canonical certificate.  For gamma_s this guards the twin rule of
+# the weak Roman search, which it runs with V2 empty; for gamma, gamma_t and
+# gamma_2t it guards the coverage-deficit prune of the set search.  Where
+# the predicate finds gamma_t or gamma_2t undefined, so must the solver.
 @pytest.mark.parametrize("invariant, sizes, predicate", [
     ("rho", lambda n: range(n, 0, -1), is_2packing),
     ("gamma_s", lambda n: range(1, n + 1), is_secure_dominating),
-], ids=["rho", "gamma_s"])
+    ("gamma", lambda n: range(1, n + 1), is_dominating),
+    ("gamma_t", lambda n: range(1, n + 1), is_total_dominating),
+    ("gamma_2t", lambda n: range(1, n + 1), is_double_total_dominating),
+], ids=["rho", "gamma_s", "gamma", "gamma_t", "gamma_2t"])
 @given(g=_small_graphs())
 @settings(max_examples=80, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_rho_certificate_is_first_maximum_packing(invariant, sizes, predicate, g):
-    first = next(s for k in sizes(g.n) for s in itertools.combinations(range(g.n), k) if predicate(g, s))
+    try:
+        first = next(s for k in sizes(g.n) for s in itertools.combinations(range(g.n), k) if predicate(g, s))
+    except UndefinedInvariantError:
+        with pytest.raises(UndefinedInvariantError):
+            solve(invariant, g)
+        return
     assert sorted(solve(invariant, g).certificate) == list(first)
+
+
+# every minimum dominating set, in the order combinations() lists them;
+# on a disconnected graph they are the products of the components' lists
+@given(g=_small_graphs())
+@settings(max_examples=80, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_minimum_dominating_sets_are_every_minimum(g):
+    brute = []
+    for k in range(1, g.n + 1):
+        brute = [list(s) for s in itertools.combinations(range(g.n), k) if is_dominating(g, s)]
+        if brute:
+            break
+    assert [sorted(s) for s in minimum_dominating_sets(g)] == brute
 
 
 @st.composite
@@ -195,6 +219,24 @@ def test_gamma_R_certificate_has_least_v2(g):
     res = solve("gamma_R", g)
     assert res.value == best.weight
     assert res.certificate.key() == best.key()
+
+
+# the least (weight, key) over all 3^n functions is the value and the
+# canonical certificate; this guards the V2 cap of the plain gamma_r search
+@given(g=_connected_graphs(max_n=7))
+@settings(max_examples=80, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_gamma_r_certificate_is_least_function(g):
+    best = None
+    for values in itertools.product((0, 1, 2), repeat=g.n):
+        if best is not None and sum(values) > best.weight:
+            continue
+        f = LegionFunction.from_values(values)
+        if (best is None or (f.weight, f.key()) < (best.weight, best.key())) and is_wrdf(g, f):
+            best = f
+    res = solve("gamma_r", g)
+    assert res.value == best.weight
+    assert res.certificate == best
 
 
 def test_undefined_invariant_errors():
@@ -376,18 +418,18 @@ def test_shard_determinism():
 @pytest.mark.parametrize("g, nodes", [
     (lexicographic(gen.cycle(4), gen.path(10)), 1194),
     (lexicographic(gen.cycle(4), corona(gen.path(4), gen.empty(1)).graph), 679),
-    (lexicographic(gen.cycle(5), gen.empty(4)), 160),
-    (lexicographic(gen.path(3), gen.cycle(6)), 116),
-    (gen.fig6_spider(), 1010),
-    (gen.cycle(8), 46),
-    (gen.path(10), 199),
-    (lexicographic(gen.cycle(5), gen.path(10)), 24477),
-    (lexicographic(gen.comb(5), gen.path(10)), 2121),
-    (lexicographic(gen.path(5), gen.path(10)), 2719),
-    (lexicographic(gen.fig6_spider(), gen.empty(4)), 1687),
-    (lexicographic(gen.path(7), gen.path(10)), 2158),
-    (lexicographic(gen.path(6), gen.path(10)), 2256),
-    (lexicographic(gen.path(8), gen.path(10)), 2797),
+    (lexicographic(gen.cycle(5), gen.empty(4)), 140),
+    (lexicographic(gen.path(3), gen.cycle(6)), 115),
+    (gen.fig6_spider(), 869),
+    (gen.cycle(8), 24),
+    (gen.path(10), 43),
+    (lexicographic(gen.cycle(5), gen.path(10)), 24457),
+    (lexicographic(gen.comb(5), gen.path(10)), 2103),
+    (lexicographic(gen.path(5), gen.path(10)), 2700),
+    (lexicographic(gen.fig6_spider(), gen.empty(4)), 1410),
+    (lexicographic(gen.path(7), gen.path(10)), 2130),
+    (lexicographic(gen.path(6), gen.path(10)), 2224),
+    (lexicographic(gen.path(8), gen.path(10)), 2739),
 ], ids=["C4oP10", "C4ocorona(P4,K1)", "C5oempty4", "P3oC6", "fig6_spider", "C8", "P10", "C5oP10", "comb5oP10",
         "P5oP10", "fig6_spideroempty4", "P7oP10", "P6oP10", "P8oP10"])
 def test_gamma_r_node_counts(g, nodes):
@@ -457,7 +499,7 @@ def test_budget_lower_bound_covers_the_whole_graph():
     # open piece's bound and 1 for each piece not yet started
     double = Graph.from_edges(16, [(i, i + 1) for i in (*range(7), *range(8, 15))])
     lowers = []
-    for budget in (40, 60, 80):
+    for budget in (20, 25, 35):
         with pytest.raises(BudgetExceededError) as exc:
             solve("gamma_r", double, SolverConfig(node_budget=budget))
         lowers.append(exc.value.lower)
@@ -470,7 +512,7 @@ def test_budget_upper_bound_covers_the_whole_graph():
     # before) and the vertex count of each piece not yet started
     double = Graph.from_edges(16, [(i, i + 1) for i in (*range(7), *range(8, 15))])
     uppers = []
-    for budget in (40, 60, 80):
+    for budget in (20, 25, 35):
         with pytest.raises(BudgetExceededError) as exc:
             solve("gamma_r", double, SolverConfig(node_budget=budget))
         uppers.append(exc.value.upper)
@@ -484,12 +526,12 @@ def test_minimum_dominating_sets_budget_covers_the_whole_graph():
     # the open and unstarted pieces count their vertex counts above.
     double = Graph.from_edges(12, [(i, i + 1) for i in (*range(5), *range(6, 11))])
     intervals = []
-    for budget in (10, 25):
+    for budget in (5, 10):
         with pytest.raises(BudgetExceededError) as exc:
             minimum_dominating_sets(double, SolverConfig(node_budget=budget))
         intervals.append((exc.value.lower, exc.value.upper))
     with pytest.raises(BudgetExceededError) as exc:
-        solve("gamma", double, SolverConfig(node_budget=10))
+        solve("gamma", double, SolverConfig(node_budget=3))
     assert intervals == [(3, 12), (4, 8)] and (exc.value.lower, exc.value.upper) == (4, 8)
     assert len(minimum_dominating_sets(double)) == 1
 
