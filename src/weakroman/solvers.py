@@ -24,13 +24,21 @@ dominating function with V2 empty, so ``gamma_s`` runs the ``gamma_r``
 search with V2 held empty, its size rising from ceil(n / (Delta + 1)), as
 the set dominates.  When the input is a lexicographic product with a
 noncomplete second factor, the ``gamma_r`` weight starts at the
-product lower bound max(gamma_r(G), gamma_t(G), P).  This is the
+product lower bound max(gamma_r(G), gamma_t(G), P, C).  This is the
 ``lex_lower_max`` claim with its term 2 rho(G) raised to P,
 the heaviest 2-packing of G in which a support vertex of degree at least
 2 weighs lambda(H) and every other vertex weighs 2.  lambda(H) is the
 least weight on P3 o H that dominates and defends the copies of a leaf
-and its support; one small search gives it, and the weights below P are
-never searched.  :func:`_gamma_r_connected` proves the bound, and
+and its support; one small search gives it.  C is the copy-weight
+programme: the least total of copy weights w on V(G) such that each
+vertex x meets an entry (a, b) of the vertex table M(H) with w_x >= a and
+w(N_G(x)) >= b.  M(H) lists the least weight a on a copy that keeps it
+dominated and defended when its neighbour copies hold b = 2, 1 or 0
+legions: 0, the least |S| with H - N[S] a clique, and gamma_r(H).  A
+counted branch and bound solves the programme, and only when P leaves a
+gap below the upper bound 2 gamma_t(G); on a cycle it reaches n where
+the other terms stop near 2n / 3.  The weights below the start are never
+searched.  :func:`_gamma_r_connected` proves the bound, and
 ``tests/test_support_bound.py`` checks it.  A greedy lookahead prunes a
 placement once the legions left cannot bring each closed copy
 neighbourhood still open to its demand.  The demand is weight 2, which
@@ -293,7 +301,8 @@ class SolverConfig:
     one sequential generator.  ``max_weight`` caps the weight of ``gamma_r``
     and ``gamma_R``, summed over the components.  ``product_pruning``
     enables, on lexicographic products, the product lower bound (with its
-    support-gadget packing term), the closed-copy-weight lookahead (weight
+    support-gadget packing term and the copy-weight programme over the
+    vertex table of H), the closed-copy-weight lookahead (weight
     2, or lambda(H) on a support's copy neighbourhood) and the per-copy
     Aut(H) cut; switching it off forces the structure-blind search
     (used when the claims that justify those prunes are themselves under
@@ -736,6 +745,9 @@ class _WrdfSearch:
     lambda(H) on the supports.  A raised demand adds a second greedy pass
     and keeps every cut of the first, so it never adds a node.
 
+    ``gamma`` is 0 until :func:`_gamma_r_connected` sets it to gamma(G) on
+    a plain piece; :meth:`at_weight` caps V2 at t - gamma.
+
     ``core`` (every vertex by default) is the set that must be dominated and
     defended, and stay dominated after each defending move; the vertices
     outside it only hold legions."""
@@ -746,6 +758,7 @@ class _WrdfSearch:
         self.h = h
         n = g.n
         self.core = (1 << n) - 1 if core is None else core
+        self.gamma = 0  # gamma(g), once _gamma_r_connected has searched it
         self.twin = _prev_twins(g)
         self.leaders: dict[int, bool] = {}  # copy pattern (V2 << n_h | V1) -> _copy_is_leader
         self.common: dict[int, int] = {}  # the memo of _undefended
@@ -780,8 +793,8 @@ class _WrdfSearch:
 
     def at_weight(self, t: int, counter: _Counter, symmetry: bool = True, v2_cap: int | None = None):
         """Generator of the (m2, m1) of weight exactly t with at most
-        ``v2_cap`` vertices in V2 (no cap by default), rooted at the empty
-        placement.
+        ``v2_cap`` vertices in V2 (t - ``self.gamma`` by default: the
+        positive set dominates), rooted at the empty placement.
 
         With ``symmetry`` it keeps only functions that pass the twin rule
         and, on a product, the per-copy Aut(H) cut (see the module
@@ -796,7 +809,7 @@ class _WrdfSearch:
         twin = self.twin if symmetry else (0,) * n
         common = self.common
         copy_nbhd = self.copy_nbhd
-        v2_max = t // 2 if v2_cap is None else min(t // 2, v2_cap)
+        v2_max = min(t // 2, t - self.gamma if v2_cap is None else v2_cap)
         factor = self.factor
         lookahead = None
         aut_cut = False
@@ -1001,22 +1014,25 @@ def _gamma_r_connected(search: _WrdfSearch, counter: _Counter, cap: int | None) 
     with every V0 vertex next to V2, which is also the piece's upper bound
     in a budget error: V2 = a minimum dominating set (2 gamma), or on a
     product V2 = {(u, 0) : u in a minimum total dominating set of G}
-    (2 gamma_t(G)).  The factor's own search leaves a witness on the
-    factor graph, which does not count for the piece.
+    (2 gamma_t(G)).  On a product the gamma_t(G) search comes first, and
+    the searches for bounds after it leave that witness and
+    ``counter.lower`` as they were (:func:`_aside`).
 
     Searched without factors, the lower bound is gamma(G), and V2 holds at
     most t - gamma(G) vertices at weight t: every V0 vertex has a defender
     in V1 | V2, so the positive set dominates and |V1| + |V2| = t - |V2| >=
     gamma(G).  The cap drops only placements that hold no function, so the
-    first hit and the value stay the same.
+    first hit and the value stay the same.  ``search.gamma`` keeps
+    gamma(G), so the optima stream under the same cap.
 
     On a product G o H searched with its factors (H not complete, so
-    n_h >= 2) the lower bound is max(gamma_r(G), gamma_t(G), P): P is the
-    heaviest 2-packing of G in which a support vertex of degree >= 2 weighs
-    lambda(H) (:func:`_support_cost`) and every other vertex weighs 2, so
-    with no such support P = 2 rho(G).  Every weak Roman dominating function f puts
-    at least the weight of u on the copies of N_G[u], and the closed
-    neighbourhoods of a 2-packing are disjoint, so their weights add:
+    n_h >= 2) the lower bound is max(gamma_r(G), gamma_t(G), P, C).  Every
+    weak Roman dominating function f puts at least the weight of u on the
+    copies of N_G[u], and the closed neighbourhoods of a 2-packing are
+    disjoint, so their weights add; P is the heaviest 2-packing of G in
+    which a support vertex of degree >= 2 weighs lambda(H)
+    (:func:`_support_cost`) and every other vertex weighs 2, so with no
+    such support P = 2 rho(G):
 
     * Copy u and all its neighbours lie in the copies of N_G[u].  With no
       legion there copy u is undominated.  With one, take nonadjacent a, b
@@ -1033,25 +1049,146 @@ def _gamma_r_connected(search: _WrdfSearch, counter: _Counter, cap: int | None) 
       lambda(H) minimises.  By the first point lambda(H) >= 2, and a 2 on
       copies l and s each gives lambda(H) <= 4.
 
-    Both points hold for every weak Roman dominating function, not just
+    C is the copy-weight programme (:func:`_copy_programme`) over the
+    vertex table M(H) (:func:`_vertex_table`), by the same fold with core
+    {x}: the copies of N_G(x) are adjacent to all of copy x, so folded into
+    one outer copy they leave f on P2 o H a function of the kind M(H)
+    describes, with f's weight on copy x and at least min(f(N_G(x)), 2) on
+    the outer copy.  So w_x = f(copy x) meets an entry of M(H) at every x,
+    and lowering each w_x to the next value the programme allows keeps
+    that.  C is searched only when P leaves a gap below 2 gamma_t(G).
+
+    Every point holds for every weak Roman dominating function, not just
     the optima, so the search's lookahead demands the same vertex weights
     of each closed copy neighbourhood (``search.demand``)."""
     g = search.g
     factor = search.factor
     if factor is not None:
-        gr, _ = _gamma_r_connected(_WrdfSearch(factor), counter, cap)
+        h = search.h
         gt, tds = _solve_min_set(factor, "gamma_t", counter)
-        n_h = search.h.n
-        v2 = sum(1 << (u * n_h) for u in _bits(tds))
-        counter.witness = (g, LegionFunction(g.n, 0, v2))
-        lo, search.demand = _packing_bound(factor, search.h, max(gr, gt), counter)
+        counter.witness = (g, LegionFunction(g.n, 0, sum(1 << (u * h.n) for u in _bits(tds))))
+        gr = _aside(counter, lambda: _gamma_r_connected(_WrdfSearch(factor), counter, None)[0])
+        lo, search.demand = _packing_bound(factor, h, max(gr, gt), counter)
         hi = 2 * gt
-        gamma = 0  # not searched on the product: V2 is capped by t // 2 alone
+        if lo < hi:
+            counter.lower = lo
+            lo = _copy_programme(factor, _aside(counter, lambda: _vertex_table(h, counter)), lo, hi, counter)
     else:
-        gamma, dom = _solve_min_set(g, "gamma", counter)
+        search.gamma, dom = _solve_min_set(g, "gamma", counter)
         counter.witness = (g, LegionFunction(g.n, 0, dom))
-        lo, hi = gamma, 2 * gamma
-    return _lowest(lambda t: search.at_weight(t, counter, v2_cap=t - gamma), lo, hi, counter, cap)
+        lo, hi = search.gamma, 2 * search.gamma
+    return _lowest(lambda t: search.at_weight(t, counter), lo, hi, counter, cap)
+
+
+def _aside(counter: _Counter, run):
+    """``run()``, a search for a bound on the open piece, with
+    ``counter.lower`` and ``counter.witness`` kept: the weights it tries and
+    the witness it finds belong to another graph.  A budget error meanwhile
+    reports the bound held before it."""
+    lower, witness = counter.lower, counter.witness
+    try:
+        return run()
+    except BudgetExceededError:
+        raise BudgetExceededError(counter.invariant, lower, counter.upper) from None
+    finally:
+        counter.lower, counter.witness = lower, witness
+
+
+def _vertex_table(h: Graph, counter: _Counter) -> tuple[tuple[int, int], ...]:
+    """M(H), for a noncomplete H: the minimal (a, b) such that a function on
+    P2 o H with weight a on copy x and b legions, capped at 2, on the other
+    copy dominates and defends copy x, copy x staying dominated after each
+    defending move.  It is the antichain of (0, 2), (a1, 1) and (a0, 0):
+
+    * Two legions on the outer copy dominate all of copy x, and each can
+      move to a zero of it while the other still dominates it: (0, 2).
+    * One legion on the outer copy dominates copy x.  A zero v of copy x
+      is defended by a legion of copy x next to it, after which the outer
+      legion still dominates copy x, or by the outer legion, after which
+      the positive set S of copy x plus v must dominate H.  Only S counts,
+      so 1s serve best, and a1 is the least |S| such that every v outside
+      S has a neighbour in S or S | {v} dominates H: the least |S| with
+      H - N[S] a clique.
+    * With the outer copy empty, copy x on its own is a weak Roman
+      dominating function of H: a0 = gamma_r(H), summed over the
+      components of H.
+
+    Both searches are counted."""
+    a0 = sum(_gamma_r_connected(_WrdfSearch(h.induced(c)), counter, None)[0] for c in h.components())
+
+    def clique_left(s: tuple[int, ...]) -> bool:
+        counter.tick()
+        rest = ((1 << h.n) - 1) & ~functools.reduce(operator.or_, s)
+        return all(rest & ~h.closed[v] == 0 for v in _bits(rest))
+
+    # S = V(H) leaves nothing, so some size up to n_h serves
+    a1 = next(k for k in range(1, h.n + 1) if any(map(clique_left, itertools.combinations(h.closed, k))))
+    return ((0, 2), (a1, 1), (a0, 0)) if a1 < a0 else ((0, 2), (a0, 0))
+
+
+def _copy_programme(factor: Graph, table: tuple[tuple[int, int], ...], lo: int, hi: int, counter: _Counter) -> int:
+    """The least t in lo..hi such that some w: V(G) -> {0, 1, 2, a1, a0}
+    with sum at most t has, at every x, an entry (a, b) of the vertex table
+    with w_x >= a and w(N_G(x)) >= b.  Lowering any weight to the next
+    value in that set keeps every condition, so these values are enough.
+    The caller knows that hi is met: 2 on a total dominating set.
+
+    A counted branch and bound sets w in index order, keeping each
+    neighbour sum o_x as it goes.  need[c][o] is the least weight that
+    still has to land on N_G[x] when w_x = c (capped at a0) and o_x = o
+    (capped at 2).  x's condition is decided, need 0, once the last vertex
+    of N_G[x] is set; the needs of the undecided x whose undecided closed
+    neighbourhoods are disjoint add up, and a node is cut once that greedy
+    sum exceeds the weight left."""
+    n = factor.n
+    adj = factor.adj
+    closed = factor.closed
+    top = max(a for a, _ in table)
+    values = sorted({0, 1, 2, *(a for a, _ in table)})
+    need = [[min(max(a - c, 0) + max(b - o, 0) for a, b in table) for o in range(3)] for c in range(top + 1)]
+    last = [closed[x].bit_length() - 1 for x in range(n)]
+    decided_at = [[x for x in range(n) if last[x] == u] for u in range(n)]
+    w = [0] * n
+    o = [0] * n
+
+    def short(u: int, left: int) -> bool:
+        # whether the needs of the open x, over disjoint undecided parts
+        # of their closed neighbourhoods, exceed the weight left
+        total = 0
+        used = 0
+        for x in range(n):
+            if last[x] <= u:
+                continue
+            part = closed[x] >> (u + 1)
+            if part & used:
+                continue
+            gap = need[min(w[x], top)][min(o[x], 2)]
+            if gap:
+                total += gap
+                if total > left:
+                    return True
+                used |= part
+        return False
+
+    def rec(u: int, left: int):
+        counter.tick()
+        if u == n:
+            yield tuple(w)
+            return
+        for val in values:
+            if val > left:
+                break
+            w[u] = val
+            for x in _bits(adj[u]):
+                o[x] += val
+            if (all(need[min(w[x], top)][min(o[x], 2)] == 0 for x in decided_at[u])
+                    and not short(u, left - val)):
+                yield from rec(u + 1, left - val)
+            for x in _bits(adj[u]):
+                o[x] -= val
+        w[u] = 0
+
+    return _lowest(lambda t: rec(0, t), lo, hi, counter)[0]
 
 
 def _packing_bound(factor: Graph, h: Graph, known: int, counter: _Counter) -> tuple[int, tuple[int, ...]]:
@@ -1198,7 +1335,7 @@ def enumerate_optimal_wrdf(g: Graph | ProductGraph, config: SolverConfig | None 
         search = _WrdfSearch(sub, factor, h)
         val, _ = _gamma_r_connected(search, counter, cap)
         # the symmetry cuts keep only orbit minima, so the optima stream
-        # with them off; the demand holds for every function
+        # with them off; the demand and the V2 cap hold for every function
         stream = search.at_weight(val, counter, symmetry=False)
         return val, ((_lift(m2, verts), _lift(m1, verts)) for m2, m1 in stream)
 

@@ -384,6 +384,34 @@ def test_enumerate_streams():
         list(enumerate_optimal_wrdf(g, SolverConfig(node_budget=10_000)))
 
 
+def _optima_by_brute_force(g: Graph, t: int) -> list:
+    """The weak Roman dominating functions of weight exactly t, by the raw
+    predicate over every (V2, V1) of that weight, in canonical order."""
+    out = []
+    for k2 in range(t // 2 + 1):
+        for v2 in itertools.combinations(range(g.n), k2):
+            rest = [v for v in range(g.n) if v not in v2]
+            for v1 in itertools.combinations(rest, t - 2 * k2):
+                f = LegionFunction.from_sets(g.n, v1, v2)
+                if is_wrdf(g, f):
+                    out.append(f)
+    return sorted(out, key=LegionFunction.key)
+
+
+# a plain piece streams its optima with V2 capped at val - gamma(G); the
+# stream alone took 291, 166 and 120 nodes without the cap, the value
+# search 43, 24 and 28 before it
+@pytest.mark.parametrize("g, count, budget", [
+    (gen.path(10), 36, 244), (gen.cycle(8), 30, 134), (gen.comb(7), 24, 106),
+], ids=["P10", "C8", "comb7"])
+def test_enumerate_caps_v2_on_plain_pieces(g, count, budget):
+    got = list(enumerate_optimal_wrdf(g, SolverConfig(node_budget=budget)))
+    assert len(got) == count
+    assert got == _optima_by_brute_force(g, solve("gamma_r", g).value)
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_optimal_wrdf(g, SolverConfig(node_budget=budget - 1)))
+
+
 def test_enumerate_disconnected_cross_product():
     double = Graph.from_edges(4, [(0, 1), (2, 3)])  # K2 + K2
     opts = list(enumerate_optimal_wrdf(double))
@@ -416,14 +444,14 @@ def test_shard_determinism():
 # Node counts decide budget verdicts, so a change to the search that keeps
 # every value may still move them; these pin the gamma_r counts.
 @pytest.mark.parametrize("g, nodes", [
-    (lexicographic(gen.cycle(4), gen.path(10)), 1194),
-    (lexicographic(gen.cycle(4), corona(gen.path(4), gen.empty(1)).graph), 679),
-    (lexicographic(gen.cycle(5), gen.empty(4)), 140),
-    (lexicographic(gen.path(3), gen.cycle(6)), 115),
+    (lexicographic(gen.cycle(4), gen.path(10)), 146),
+    (lexicographic(gen.cycle(4), corona(gen.path(4), gen.empty(1)).graph), 90),
+    (lexicographic(gen.cycle(5), gen.empty(4)), 114),
+    (lexicographic(gen.path(3), gen.cycle(6)), 139),
     (gen.fig6_spider(), 869),
     (gen.cycle(8), 24),
     (gen.path(10), 43),
-    (lexicographic(gen.cycle(5), gen.path(10)), 24457),
+    (lexicographic(gen.cycle(5), gen.path(10)), 13430),
     (lexicographic(gen.comb(5), gen.path(10)), 2103),
     (lexicographic(gen.path(5), gen.path(10)), 2700),
     (lexicographic(gen.fig6_spider(), gen.empty(4)), 1410),
@@ -434,6 +462,35 @@ def test_shard_determinism():
         "P5oP10", "fig6_spideroempty4", "P7oP10", "P6oP10", "P8oP10"])
 def test_gamma_r_node_counts(g, nodes):
     assert solve("gamma_r", g).nodes == nodes
+
+
+def test_node_counts_repeat_in_one_process():
+    # nothing a solve searches (lambda(H), the vertex table, the factors'
+    # values) is kept for the next call
+    for g in (lexicographic(gen.cycle(4), gen.path(10)), lexicographic(gen.path(3), gen.cycle(6))):
+        first, second = solve("gamma_r", g), solve("gamma_r", g)
+        assert (first.nodes, first.certificate) == (second.nodes, second.certificate)
+
+
+@pytest.mark.parametrize("g, h", [
+    (gen.path(2), gen.path(10)), (gen.cycle(4), gen.path(10)), (gen.cycle(5), gen.empty(4)),
+    (gen.path(3), gen.cycle(6)),
+], ids=["P2oP10", "C4oP10", "C5oempty4", "P3oC6"])
+def test_budget_intervals_bracket_the_value(g, h):
+    # at every budget the interval holds the value.  The upper end is the
+    # weight 2 gamma_t(G) of the witness V2 = {(u, 0) : u in a minimum total
+    # dominating set of G} once the gamma_t(G) search, the first one, is
+    # done; before it no witness is known and the vertex count stands.
+    p = lexicographic(g, h)
+    solved = solve("gamma_r", p)
+    total = solve("gamma_t", g)
+    for budget in range(1, solved.nodes):
+        with pytest.raises(BudgetExceededError) as exc:
+            solve("gamma_r", p, SolverConfig(node_budget=budget))
+        lower, upper = exc.value.lower, exc.value.upper
+        assert lower <= solved.value <= upper, budget
+        assert upper <= (2 * total.value if budget >= total.nodes else p.graph.n), budget
+    assert solve("gamma_r", p, SolverConfig(node_budget=solved.nodes)).value == solved.value
 
 
 # P6oP10 and P8oP10 took 293,509 and 1,662,493 nodes before the lookahead
@@ -479,6 +536,16 @@ def test_max_weight_cap():
         assert exc.value.lower == 3
         # the upper end is 2 gamma(P7), from V2 = a minimum dominating set
         assert exc.value.upper == 6
+
+
+def test_max_weight_below_the_start_on_a_product():
+    # P5oP10 starts at its value 6 > gamma_r(P5) = 3; a cap below either
+    # reports that start and the 2 gamma_t(P5) witness
+    p = lexicographic(gen.path(5), gen.path(10))
+    for cap in (2, 5):
+        with pytest.raises(BudgetExceededError) as exc:
+            solve("gamma_r", p, SolverConfig(max_weight=cap))
+        assert (exc.value.lower, exc.value.upper) == (6, 6)
 
 
 def test_max_weight_caps_the_whole_graph():

@@ -1,14 +1,19 @@
-"""The support-gadget start bound of the gamma_r search on G o H.
+"""The gadget start bounds of the gamma_r search on G o H.
 
 lambda(H) is the least weight on P3 o H that dominates and defends copies 0
 (a leaf) and 1 (its support) when only those two copies must stay dominated.
-The search's start weight is the heaviest 2-packing of G in which a support
+The support-gadget bound is the heaviest 2-packing of G in which a support
 vertex of degree at least 2 weighs lambda(H) and every other vertex weighs
-2.  These tests check lambda against brute force, check that every optimum
-puts at least lambda(H) on the copies of a support's closed neighbourhood,
-and check that the bound never exceeds the value.
+2.  The vertex table M(H) lists the minimal (a, b) such that a function on
+P2 o H with weight a on copy 0 and b legions (capped at 2) on copy 1 keeps
+copy 0 dominated and defended, and the copy-weight programme is the least
+total of copy weights that meet M(H) at every vertex of G.  These tests
+check lambda and M(H) against brute force, check that every optimum puts at
+least lambda(H) on the copies of a support's closed neighbourhood, and check
+that neither bound exceeds the value.
 """
 
+import functools
 import itertools
 
 import pytest
@@ -18,7 +23,7 @@ from hypothesis import strategies as st
 from weakroman import SolverConfig, corona, enumerate_optimal_wrdf, lexicographic, oracle, solve
 from weakroman import generators as gen
 from weakroman.graph import Graph, _bits
-from weakroman.solvers import _Counter, _packing_bound, _support_cost
+from weakroman.solvers import _copy_programme, _Counter, _packing_bound, _support_cost, _vertex_table
 
 _BLIND = SolverConfig(product_pruning=False)
 _SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None,
@@ -29,19 +34,25 @@ def _lam(h: Graph) -> int:
     return _support_cost(h, _Counter(None, "gamma_r", 0))
 
 
+def _table(h: Graph) -> tuple:
+    return _vertex_table(h, _Counter(None, "gamma_r", 0))
+
+
+def _programme(g: Graph, h: Graph, lo: int = 0) -> int:
+    counter = _Counter(None, "gamma_r", 0)
+    return _copy_programme(g, _vertex_table(h, counter), lo, 2 * solve("gamma_t", g).value, counter)
+
+
 def _graphs(n: int):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for keep in itertools.product((False, True), repeat=len(pairs)):
         yield Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
 
 
-def _relaxed_minimum(h: Graph) -> int:
-    """The least weight of a function on P3 o H under which every vertex of
-    copies 0 and 1 is dominated, and each of their zeros has a neighbour
-    whose move of one legion to it leaves copies 0 and 1 dominated - by
-    exhaustive search over the functions of each weight in turn."""
-    g = lexicographic(gen.path(3), h).graph
-    core = (1 << 2 * h.n) - 1
+def _keeps_core(g: Graph, core: int, m2: int, m1: int) -> bool:
+    """Whether every vertex of ``core`` is dominated under (V2, V1) = (m2,
+    m1), and each of its zeros has a neighbour whose move of one legion to
+    it leaves ``core`` dominated."""
 
     def dominated(pos: int) -> bool:
         cover = pos
@@ -49,14 +60,22 @@ def _relaxed_minimum(h: Graph) -> int:
             cover |= g.adj[v]
         return cover & core == core
 
-    def ok(m2: int, m1: int) -> bool:
-        pos = m2 | m1
-        if not dominated(pos):
+    pos = m2 | m1
+    if not dominated(pos):
+        return False
+    for v in _bits(core & ~pos):
+        if not any(dominated((pos | 1 << v) & ~(m1 & 1 << u)) for u in _bits(g.adj[v] & pos)):
             return False
-        for v in _bits(core & ~pos):
-            if not any(dominated((pos | 1 << v) & ~(m1 & 1 << u)) for u in _bits(g.adj[v] & pos)):
-                return False
-        return True
+    return True
+
+
+def _relaxed_minimum(h: Graph) -> int:
+    """The least weight of a function on P3 o H that keeps copies 0 and 1
+    dominated and defended (:func:`_keeps_core`) - by exhaustive search over
+    the functions of each weight in turn."""
+    g = lexicographic(gen.path(3), h).graph
+    core = (1 << 2 * h.n) - 1
+    ok = functools.partial(_keeps_core, g, core)
 
     for t in itertools.count():
         for k2 in range(t // 2 + 1):
@@ -127,11 +146,13 @@ def test_every_optimum_puts_lambda_on_each_support(g, i):
 
 @_SETTINGS
 @given(_connected(8), st.sampled_from(range(len(_POOL))))
-def test_packing_bound_never_exceeds_the_value(g, i):
+def test_start_bounds_never_exceed_the_value(g, i):
+    # the support-gadget packing bound and the copy-weight programme
     h = _POOL[i]
     p = lexicographic(g, h)
     assume(p.graph.n <= 32)
-    bound, _ = _packing_bound(g, h, 0, _Counter(None, "gamma_r", 0))
+    packing, _ = _packing_bound(g, h, 0, _Counter(None, "gamma_r", 0))
+    bound = max(packing, _programme(g, h))
     assert bound <= solve("gamma_r", p, _BLIND).value
     if p.graph.n <= 12:
         assert bound <= oracle("gamma_r", p)
@@ -159,3 +180,69 @@ def test_raised_demand_agrees_with_blind_search(g, i):
         assert list(enumerate_optimal_wrdf(p)) == list(enumerate_optimal_wrdf(p, _BLIND))
     if p.graph.n <= 12:
         assert res.value == oracle("gamma_r", p)
+
+
+# -- the vertex table and the copy-weight programme --------------------------
+
+
+@pytest.mark.parametrize("h, table", [
+    (gen.path(10), {(0, 2), (3, 1), (5, 0)}), (gen.cycle(10), {(0, 2), (3, 1), (5, 0)}),
+    (gen.empty(4), {(0, 2), (3, 1), (4, 0)}), (corona(gen.path(4), gen.empty(1)).graph, {(0, 2), (3, 1), (4, 0)}),
+    (gen.empty(5), {(0, 2), (4, 1), (5, 0)}),
+], ids=["P10", "C10", "empty4", "corona(P4,K1)", "empty5"])
+def test_vertex_table_values(h, table):
+    assert set(_table(h)) == table
+
+
+def _gadget_table(h: Graph) -> set:
+    """The minimal (a, b) over every function on P2 o H that keeps copy 0
+    dominated and defended: a its weight on copy 0, b its weight on copy 1
+    capped at 2."""
+    g = lexicographic(gen.path(2), h).graph
+    core = (1 << h.n) - 1
+    pairs = set()
+    for values in itertools.product((0, 1, 2), repeat=g.n):
+        m2 = sum(1 << v for v, x in enumerate(values) if x == 2)
+        m1 = sum(1 << v for v, x in enumerate(values) if x == 1)
+        if _keeps_core(g, core, m2, m1):
+            pairs.add((sum(values[:h.n]), min(sum(values[h.n:]), 2)))
+    return {(a, b) for a, b in pairs if not any((c, d) != (a, b) and c <= a and d <= b for c, d in pairs)}
+
+
+def _noncomplete_up_to_isomorphism(n: int) -> list[Graph]:
+    out = {}
+    for h in _graphs(n):
+        edges = [(u, v) for u in range(n) for v in _bits(h.adj[u]) if u < v]
+        key = min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
+                  for p in itertools.permutations(range(n)))
+        if not h.is_complete():
+            out.setdefault(key, h)
+    return list(out.values())
+
+
+def test_vertex_table_matches_brute_force_up_to_four_vertices():
+    checked = 0
+    for n in (2, 3, 4):
+        for h in _noncomplete_up_to_isomorphism(n):
+            assert set(_table(h)) == _gadget_table(h), h.adj
+            checked += 1
+    assert checked == 14
+
+
+# gamma(H) 3, 4, 4 and 5: the programme reaches past the support-gadget
+# bound mostly where H needs many legions to dominate itself
+_DEEP = (gen.empty(3), gen.empty(4), corona(gen.path(4), gen.empty(1)).graph, gen.empty(5))
+
+
+@_SETTINGS
+@given(_connected(7), st.sampled_from(range(len(_DEEP))))
+def test_raised_start_agrees_with_blind_search(g, i):
+    h = _DEEP[i]
+    p = lexicographic(g, h)
+    assume(p.graph.n <= 32)
+    known = max(solve("gamma_r", g).value, solve("gamma_t", g).value)
+    packing, _ = _packing_bound(g, h, known, _Counter(None, "gamma_r", 0))
+    assume(packing < 2 * solve("gamma_t", g).value and _programme(g, h, packing) > packing)
+    res = solve("gamma_r", p)
+    blind = solve("gamma_r", p, _BLIND)
+    assert (res.value, res.certificate) == (blind.value, blind.certificate)
