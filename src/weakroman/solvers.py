@@ -27,25 +27,26 @@ noncomplete second factor, the ``gamma_r`` weight starts at the
 product lower bound max(gamma_r(G), gamma_t(G), P, C).  This is the
 ``lex_lower_max`` claim with its term 2 rho(G) raised to P,
 the heaviest 2-packing of G in which a support vertex of degree at least
-2 weighs lambda(H) and every other vertex weighs 2.  lambda(H) is the
-least weight on P3 o H that dominates and defends the copies of a leaf
-and its support; one small search gives it.  C is the copy-weight
+2 weighs lambda(H) and every other vertex weighs 2.  C is the copy-weight
 programme: the least total of copy weights w on V(G) such that each
 vertex x meets an entry (a, b) of the vertex table M(H) with w_x >= a and
 w(N_G(x)) >= b.  M(H) lists the least weight a on a copy that keeps it
 dominated and defended when its neighbour copies hold b = 2, 1 or 0
-legions: 0, the least |S| with H - N[S] a clique, and gamma_r(H).  A
-counted branch and bound solves the programme, and only when P leaves a
-gap below the upper bound 2 gamma_t(G); on a cycle it reaches n where
-the other terms stop near 2n / 3.  The weights below the start are never
+legions: 0, the least |S| with H - N[S] a clique, and gamma_r(H).  It is
+built once per piece.  lambda(H), the least weight on P3 o H that
+dominates and defends the copies of a leaf and its support, is the same
+programme on P3 with only the leaf and the support constrained, so it is
+read off M(H) with no search.  A counted branch and bound solves the
+programme on G, and only when P leaves a gap below the upper bound
+2 gamma_t(G); on a cycle it reaches n where the other terms stop near
+2n / 3.  The weights below the start are never
 searched.  :func:`_gamma_r_connected` proves the bound, and
 ``tests/test_support_bound.py`` checks it.  A greedy lookahead prunes a
 placement once the legions left cannot bring each closed copy
 neighbourhood still open to its demand.  The demand is weight 2, which
 every weak Roman dominating function puts there (the ``copy_lemma``
-claim).  Where lambda(H) was searched for the start, it is lambda(H) on
-the copies of N_G[s] for each support s of degree at least 2: the
-weights P was taken under, by the same proof.  The lookahead prunes if
+claim), raised to lambda(H) on the copies of N_G[s] for each support s
+of degree at least 2: the weights P was taken under, by the same proof.  The lookahead prunes if
 either of two greedy bounds exceeds the legions left: demand 2 in index
 order, or the raised demand with the support neighbourhoods first.
 
@@ -116,7 +117,7 @@ from .graph import (
     is_secure_dominating,
     is_total_dominating,
 )
-from .products import ProductGraph, lexicographic
+from .products import ProductGraph
 
 INVARIANTS = ("gamma", "gamma_t", "gamma_2t", "rho", "gamma_R", "gamma_r", "gamma_s")
 SET_INVARIANTS = ("gamma", "gamma_t", "gamma_2t", "rho", "gamma_s")
@@ -300,11 +301,11 @@ class SolverConfig:
     ``shards`` is accepted and validated but has no effect: every search is
     one sequential generator.  ``max_weight`` caps the weight of ``gamma_r``
     and ``gamma_R``, summed over the components.  ``product_pruning``
-    enables, on lexicographic products, the product lower bound (with its
-    support-gadget packing term and the copy-weight programme over the
-    vertex table of H), the closed-copy-weight lookahead (weight
-    2, or lambda(H) on a support's copy neighbourhood) and the per-copy
-    Aut(H) cut; switching it off forces the structure-blind search
+    enables, on lexicographic products, the product lower bound (with the
+    copy-weight programme over the vertex table of H, and the
+    support-gadget packing term with lambda(H) read off that table), the
+    closed-copy-weight lookahead (weight 2, or lambda(H) on a support's
+    copy neighbourhood) and the per-copy Aut(H) cut; switching it off forces the structure-blind search
     (used when the claims that justify those prunes are themselves under
     test).
     """
@@ -439,10 +440,9 @@ def _undefended(adj, closed, check: int, m2: int, m1: int, breakable: int, commo
     return victims
 
 
-def _defended(g: Graph, m2: int, m1: int, cov1: int, cov2: int, common: dict, core: int | None = None) -> bool:
-    """Whether the placement (V2, V1) = (m2, m1) dominates and defends the
-    ``core`` vertices (all of ``g`` by default), only they having to stay
-    dominated after a move.
+def _defended(g: Graph, m2: int, m1: int, cov1: int, cov2: int, common: dict) -> bool:
+    """Whether the placement (V2, V1) = (m2, m1) dominates and defends every
+    vertex of ``g``.
 
     ``cov1``/``cov2`` are the vertices covered at least once/twice by the
     closed neighbourhoods of V1 | V2, and ``common`` is the memo of
@@ -450,9 +450,8 @@ def _defended(g: Graph, m2: int, m1: int, cov1: int, cov2: int, common: dict, co
     leaf test when the whole weight sits in V2 (a last V1 legion runs the
     kernel itself); with V2 empty it is the secure domination test.
     """
-    if core is None:
-        core = (1 << g.n) - 1
-    return cov1 & core == core and not _undefended(g.adj, g.closed, core, m2, m1, core & cov1 & ~cov2, common)
+    full = (1 << g.n) - 1
+    return cov1 == full and not _undefended(g.adj, g.closed, full, m2, m1, cov1 & ~cov2, common)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +732,7 @@ class _WrdfSearch:
     left there, or because a copy that would be decided there already
     fails its Aut(H) cut.  Its candidate loops stop at the horizon, which
     cuts no node that the checks would not.  The last legion's checks are
-    folded into the leaf: one kernel call over every core vertex gives the
+    folded into the leaf: one kernel call over every vertex gives the
     undefended set, and the candidate is a node if that set misses the
     window just checked, and a hit if it is empty.
 
@@ -741,23 +740,19 @@ class _WrdfSearch:
     its product structure (see :func:`_pieces`), else None.  Then each
     node also runs the lookahead (see the module docstring).  ``demand``
     gives, per vertex x of G, the weight that the copies of N_G[x] must
-    reach: 2 everywhere, unless :func:`_gamma_r_connected` raises it to
-    lambda(H) on the supports.  A raised demand adds a second greedy pass
-    and keeps every cut of the first, so it never adds a node.
+    reach: 2 everywhere until :func:`_gamma_r_connected` sets it, then
+    lambda(H) on the supports of degree at least 2 and 2 elsewhere.  A
+    raised demand adds a second greedy pass and keeps every cut of the
+    first, so it never adds a node.
 
     ``gamma`` is 0 until :func:`_gamma_r_connected` sets it to gamma(G) on
-    a plain piece; :meth:`at_weight` caps V2 at t - gamma.
+    a plain piece; :meth:`at_weight` caps V2 at t - gamma."""
 
-    ``core`` (every vertex by default) is the set that must be dominated and
-    defended, and stay dominated after each defending move; the vertices
-    outside it only hold legions."""
-
-    def __init__(self, g: Graph, factor: Graph | None = None, h: Graph | None = None, core: int | None = None):
+    def __init__(self, g: Graph, factor: Graph | None = None, h: Graph | None = None):
         self.g = g
         self.factor = factor
         self.h = h
         n = g.n
-        self.core = (1 << n) - 1 if core is None else core
         self.gamma = 0  # gamma(g), once _gamma_r_connected has searched it
         self.twin = _prev_twins(g)
         self.leaders: dict[int, bool] = {}  # copy pattern (V2 << n_h | V1) -> _copy_is_leader
@@ -769,7 +764,7 @@ class _WrdfSearch:
         # so due1[k] is also the set with no coverer at index k or above.
         due1 = [0] * (n + 1)
         due2 = [0] * (n + 1)
-        for v in _bits(self.core):
+        for v in range(n):
             reach = g.closed[v]
             ctx2 = reach
             for w in _bits(reach):
@@ -803,7 +798,7 @@ class _WrdfSearch:
         n = g.n
         adj = g.adj
         closed = g.closed
-        core = self.core
+        full = (1 << n) - 1
         due1 = self.due1
         due2 = self.due2
         twin = self.twin if symmetry else (0,) * n
@@ -877,13 +872,13 @@ class _WrdfSearch:
         def dfs_v1(start: int, m2: int, m1: int, slots: int, cov1: int, cov2: int):
             counter.tick()
             if slots == 0:
-                if _defended(g, m2, m1, cov1, cov2, common, core):
+                if _defended(g, m2, m1, cov1, cov2, common):
                     yield m2, m1
                 return
             # the horizon: the least k with an uncovered vertex in due1[k],
             # which has no coverer from k on (due1[start] holds none, or
             # advance would have failed) ...
-            uncov = core & ~cov1
+            uncov = full & ~cov1
             lo, lim = start, n
             while uncov and lim - lo > 1:
                 mid = (lo + lim) >> 1
@@ -915,10 +910,10 @@ class _WrdfSearch:
                     nxt = e + 1
                     if aut_cut and nxt % n_h == 0 and not is_leader(e // n_h, m2, m1b):
                         continue
-                    # every core vertex is covered now; advance's defence
-                    # check is the leaf test masked by its window
+                    # every vertex is covered now; advance's defence check
+                    # is the leaf test masked by its window
                     c = closed[e]
-                    bad = _undefended(adj, closed, core, m2, m1b, core & ~(cov2 | (cov1 & c)), common)
+                    bad = _undefended(adj, closed, full, m2, m1b, full & ~(cov2 | (cov1 & c)), common)
                     if bad & ((due1[nxt] & ~due1[start]) | (due2[nxt] & ~due2[start])):
                         continue
                     counter.tick()
@@ -1014,9 +1009,11 @@ def _gamma_r_connected(search: _WrdfSearch, counter: _Counter, cap: int | None) 
     with every V0 vertex next to V2, which is also the piece's upper bound
     in a budget error: V2 = a minimum dominating set (2 gamma), or on a
     product V2 = {(u, 0) : u in a minimum total dominating set of G}
-    (2 gamma_t(G)).  On a product the gamma_t(G) search comes first, and
-    the searches for bounds after it leave that witness and
-    ``counter.lower`` as they were (:func:`_aside`).
+    (2 gamma_t(G)).  Until the gamma_t(G) search, the first on a product,
+    is done, the witness is V2 = {(u, 0) : u in V(G)}, as V(G) totally
+    dominates a connected G on at least 2 vertices.  The searches for
+    bounds after it leave the witness and ``counter.lower`` as they were
+    (:func:`_aside`).
 
     Searched without factors, the lower bound is gamma(G), and V2 holds at
     most t - gamma(G) vertices at weight t: every V0 vertex has a defender
@@ -1026,53 +1023,64 @@ def _gamma_r_connected(search: _WrdfSearch, counter: _Counter, cap: int | None) 
     gamma(G), so the optima stream under the same cap.
 
     On a product G o H searched with its factors (H not complete, so
-    n_h >= 2) the lower bound is max(gamma_r(G), gamma_t(G), P, C).  Every
-    weak Roman dominating function f puts at least the weight of u on the
-    copies of N_G[u], and the closed neighbourhoods of a 2-packing are
-    disjoint, so their weights add; P is the heaviest 2-packing of G in
-    which a support vertex of degree >= 2 weighs lambda(H)
-    (:func:`_support_cost`) and every other vertex weighs 2, so with no
-    such support P = 2 rho(G):
+    n_h >= 2) the lower bound is max(gamma_r(G), gamma_t(G), P, C), by two
+    facts about every weak Roman dominating function f:
 
     * Copy u and all its neighbours lie in the copies of N_G[u].  With no
       legion there copy u is undominated.  With one, take nonadjacent a, b
       of H with (u, b) a zero: its only defender moves to it, and then
-      (u, a) is undominated.  So u weighs 2.
-    * Take a support s of degree >= 2, a leaf l of it, and f on the copies
-      of N_G[s]: copies s and l are dominated, and each of their zeros has
-      a defender there whose move leaves copies s and l dominated.  The
-      other copies are adjacent to all of copy s and none of copy l, so
-      fold them into one outer copy holding a 2 if they held one, else two
-      1s if they held two legions, else what they held.  That keeps every
-      move, and whether the outer side stays positive after it, at no
-      more weight: a function on P3 o H (copies l, s, outer) of the kind
-      lambda(H) minimises.  By the first point lambda(H) >= 2, and a 2 on
-      copies l and s each gives lambda(H) <= 4.
+      (u, a) is undominated.  So f puts weight 2 there.
+    * Copy x is dominated and defended, and stays dominated after each
+      defending move.  The copies of N_G(x) are adjacent to all of copy x,
+      so folded into one outer copy holding a 2 if they held one, else two
+      1s if they held two legions, else what they held, they keep every
+      move, and whether the outer side stays positive after it, at no more
+      weight.  That leaves f on P2 o H a function of the kind the vertex
+      table M(H) (:func:`_vertex_table`) describes, with f's weight on copy
+      x and at least min(f(N_G(x)), 2) on the outer copy.  So w_x =
+      f(copy x) meets an entry of M(H) at every x, and lowering each w_x
+      to the next value the programme allows keeps that.
 
-    C is the copy-weight programme (:func:`_copy_programme`) over the
-    vertex table M(H) (:func:`_vertex_table`), by the same fold with core
-    {x}: the copies of N_G(x) are adjacent to all of copy x, so folded into
-    one outer copy they leave f on P2 o H a function of the kind M(H)
-    describes, with f's weight on copy x and at least min(f(N_G(x)), 2) on
-    the outer copy.  So w_x = f(copy x) meets an entry of M(H) at every x,
-    and lowering each w_x to the next value the programme allows keeps
-    that.  C is searched only when P leaves a gap below 2 gamma_t(G).
+    C is the copy-weight programme (:func:`_copy_programme`) over M(H), so
+    C is at most f's weight by the second point.  P is the heaviest
+    2-packing of G in which a support vertex s of degree >= 2 weighs
+    lambda(H) (:func:`_support_weight`) and every other vertex weighs 2,
+    so with no such support P = 2 rho(G); the closed neighbourhoods of a
+    2-packing are disjoint, so the weights f puts on their copies add.
+    Take a leaf l of s: by the second point at l and at s, w_l = f(copy l),
+    w_s = f(copy s) and w_o = f on the other copies of N_G(s), capped at 2,
+    meet the copy-weight programme on P3 (copies l, s, outer) with only l
+    and s constrained, whose least total is lambda(H).  So f puts at least
+    lambda(H) on the copies of N_G[s].
 
-    Every point holds for every weak Roman dominating function, not just
-    the optima, so the search's lookahead demands the same vertex weights
-    of each closed copy neighbourhood (``search.demand``)."""
+    lambda(H) is also the least weight on P3 o H that dominates and
+    defends copies l and s, both staying dominated after each defending
+    move.  Such a function meets that programme by the fold above.
+    Conversely, copy weights that meet it come from functions on copies l
+    and s that realise the entries they meet, with w_o legions on the
+    outer copy: every defending move lands a legion in copy l or copy s,
+    which is adjacent to all of the other, so both stay dominated.
+
+    C is searched only when P leaves a gap below 2 gamma_t(G).  Every point
+    holds for every weak Roman dominating function, not just the optima, so
+    the search's lookahead demands the same vertex weights of each closed
+    copy neighbourhood (``search.demand``)."""
     g = search.g
     factor = search.factor
     if factor is not None:
         h = search.h
+        copy0 = range(0, g.n, h.n)  # the flat index of (u, 0) for each u in V(G)
+        counter.witness = (g, LegionFunction(g.n, 0, _lift((1 << factor.n) - 1, copy0)))
         gt, tds = _solve_min_set(factor, "gamma_t", counter)
-        counter.witness = (g, LegionFunction(g.n, 0, sum(1 << (u * h.n) for u in _bits(tds))))
+        counter.witness = (g, LegionFunction(g.n, 0, _lift(tds, copy0)))
         gr = _aside(counter, lambda: _gamma_r_connected(_WrdfSearch(factor), counter, None)[0])
-        lo, search.demand = _packing_bound(factor, h, max(gr, gt), counter)
-        hi = 2 * gt
+        counter.lower = max(gr, gt)
+        table = _aside(counter, lambda: _vertex_table(h, counter))
+        packing, search.demand = _packing_bound(factor, table, counter)
+        lo, hi = max(counter.lower, packing), 2 * gt
         if lo < hi:
             counter.lower = lo
-            lo = _copy_programme(factor, _aside(counter, lambda: _vertex_table(h, counter)), lo, hi, counter)
+            lo = _copy_programme(factor, table, lo, hi, counter)
     else:
         search.gamma, dom = _solve_min_set(g, "gamma", counter)
         counter.witness = (g, LegionFunction(g.n, 0, dom))
@@ -1191,43 +1199,32 @@ def _copy_programme(factor: Graph, table: tuple[tuple[int, int], ...], lo: int, 
     return _lowest(lambda t: rec(0, t), lo, hi, counter)[0]
 
 
-def _packing_bound(factor: Graph, h: Graph, known: int, counter: _Counter) -> tuple[int, tuple[int, ...]]:
-    """(max(known, P), demand), for P the support-gadget packing bound of
-    :func:`_gamma_r_connected` on ``factor`` o ``h`` and ``demand`` the
-    vertex weights that P was taken under.
-
-    lambda(H) is searched only if P with lambda(H) = 4 beats the bound
-    with lambda(H) = 2, and a budget error meanwhile reports that bound.
-    Otherwise every vertex weighs 2 in ``demand``."""
+def _packing_bound(factor: Graph, table: tuple[tuple[int, int], ...], counter: _Counter) -> tuple[int, tuple[int, ...]]:
+    """(P, demand): the support-gadget packing bound of
+    :func:`_gamma_r_connected` on ``factor`` o H, for the H whose vertex
+    table is ``table``, and the vertex weights it is taken under: lambda(H)
+    on each support of degree at least 2, and 2 elsewhere."""
+    lam = _support_weight(table)
     leaves = sum(1 << u for u in range(factor.n) if factor.adj[u].bit_count() == 1)
-    support = [factor.adj[u] & leaves and factor.adj[u].bit_count() >= 2 for u in range(factor.n)]
-
-    def demand(lam: int) -> tuple[int, ...]:
-        return tuple(lam if s else 2 for s in support)
-
-    def packing(weight: tuple[int, ...]) -> int:
-        return _heaviest_packing(factor, weight, counter)[0]
-
-    weight = demand(2)
-    lo = max(known, packing(weight))
-    if any(support) and packing(demand(4)) > lo:
-        counter.lower = lo
-        weight = demand(_support_cost(h, counter))
-        lo = max(lo, packing(weight))
-    return lo, weight
+    demand = tuple(lam if factor.adj[u] & leaves and factor.adj[u].bit_count() >= 2 else 2 for u in range(factor.n))
+    return _heaviest_packing(factor, demand, counter)[0], demand
 
 
-def _support_cost(h: Graph, counter: _Counter) -> int:
-    """lambda(H), for a noncomplete H: the least weight on P3 o H that
-    dominates and defends copies 0 and 1 (a leaf and its support) when only
-    those two copies must stay dominated after a move.
+def _support_weight(table: tuple[tuple[int, int], ...]) -> int:
+    """lambda(H), read off the vertex table M(H) of a noncomplete H: the
+    least w_l + w_s + w_o, with w_l, w_s in {0, 1, 2, a1, a0} and w_o in
+    {0, 1, 2}, such that (w_l, min(w_s, 2)) and (w_s, min(w_l + w_o, 2))
+    each meet an entry of M(H).  That is the copy-weight programme on P3
+    (a leaf l, its support s and an outer vertex) with only l and s
+    constrained; :func:`_gamma_r_connected` shows that it is lambda(H).
+    Lowering a weight of 2 or more to the next value in its set leaves
+    min(w, 2) as it was, so these values are enough."""
+    values = {0, 1, 2, *(a for a, _ in table)}
 
-    It lies in 2..4 (see :func:`_gamma_r_connected`), so only 2 and 3 are
-    searched.  The search makes no symmetry cut, because twins of P3 o H
-    may lie on both sides of the two copies."""
-    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    search = _WrdfSearch(lexicographic(p3, h).graph, core=(1 << 2 * h.n) - 1)
-    return next((t for t in (2, 3) if next(search.at_weight(t, counter, symmetry=False), None) is not None), 4)
+    def meets(w: int, o: int) -> bool:
+        return any(w >= a and min(o, 2) >= b for a, b in table)
+
+    return min(l + s + o for l in values for s in values for o in (0, 1, 2) if meets(l, s) and meets(s, l + o))
 
 
 def _solve_graph(invariant: str, g: Graph | ProductGraph, config: SolverConfig | None, solve_piece,

@@ -1,16 +1,17 @@
 """The gadget start bounds of the gamma_r search on G o H.
 
 lambda(H) is the least weight on P3 o H that dominates and defends copies 0
-(a leaf) and 1 (its support) when only those two copies must stay dominated.
-The support-gadget bound is the heaviest 2-packing of G in which a support
-vertex of degree at least 2 weighs lambda(H) and every other vertex weighs
-2.  The vertex table M(H) lists the minimal (a, b) such that a function on
-P2 o H with weight a on copy 0 and b legions (capped at 2) on copy 1 keeps
-copy 0 dominated and defended, and the copy-weight programme is the least
-total of copy weights that meet M(H) at every vertex of G.  These tests
-check lambda and M(H) against brute force, check that every optimum puts at
-least lambda(H) on the copies of a support's closed neighbourhood, and check
-that neither bound exceeds the value.
+(a leaf) and 1 (its support) when only those two copies must stay dominated;
+the solver reads it off the vertex table M(H) below.  The support-gadget
+bound is the heaviest 2-packing of G in which a support vertex of degree at
+least 2 weighs lambda(H) and every other vertex weighs 2.  The vertex table
+M(H) lists the minimal (a, b) such that a function on P2 o H with weight a
+on copy 0 and b legions (capped at 2) on copy 1 keeps copy 0 dominated and
+defended, and the copy-weight programme is the least total of copy weights
+that meet M(H) at every vertex of G.  These tests check lambda and M(H)
+against brute force, check that every optimum puts at least lambda(H) on
+the copies of a support's closed neighbourhood, and check that neither
+bound exceeds the value.
 """
 
 import functools
@@ -23,19 +24,19 @@ from hypothesis import strategies as st
 from weakroman import SolverConfig, corona, enumerate_optimal_wrdf, lexicographic, oracle, solve
 from weakroman import generators as gen
 from weakroman.graph import Graph, _bits
-from weakroman.solvers import _copy_programme, _Counter, _packing_bound, _support_cost, _vertex_table
+from weakroman.solvers import _copy_programme, _Counter, _packing_bound, _support_weight, _vertex_table
 
 _BLIND = SolverConfig(product_pruning=False)
 _SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None,
                      suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 
 
-def _lam(h: Graph) -> int:
-    return _support_cost(h, _Counter(None, "gamma_r", 0))
-
-
 def _table(h: Graph) -> tuple:
     return _vertex_table(h, _Counter(None, "gamma_r", 0))
+
+
+def _lam(h: Graph) -> int:
+    return _support_weight(_table(h))
 
 
 def _programme(g: Graph, h: Graph, lo: int = 0) -> int:
@@ -47,6 +48,17 @@ def _graphs(n: int):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for keep in itertools.product((False, True), repeat=len(pairs)):
         yield Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def _noncomplete_up_to_isomorphism(n: int) -> list[Graph]:
+    out = {}
+    for h in _graphs(n):
+        edges = [(u, v) for u in range(n) for v in _bits(h.adj[u]) if u < v]
+        key = min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
+                  for p in itertools.permutations(range(n)))
+        if not h.is_complete():
+            out.setdefault(key, h)
+    return list(out.values())
 
 
 def _keeps_core(g: Graph, core: int, m2: int, m1: int) -> bool:
@@ -87,14 +99,13 @@ def _relaxed_minimum(h: Graph) -> int:
                         return t
 
 
-def test_lambda_matches_brute_force_up_to_three_vertices():
+def test_lambda_matches_brute_force_up_to_four_vertices():
     checked = 0
-    for n in (2, 3):
-        for h in _graphs(n):
-            if not h.is_complete():
-                assert _lam(h) == _relaxed_minimum(h), h.adj
-                checked += 1
-    assert checked == 8
+    for n in (2, 3, 4):
+        for h in _noncomplete_up_to_isomorphism(n):
+            assert _lam(h) == _relaxed_minimum(h), h.adj
+            checked += 1
+    assert checked == 14
 
 
 @pytest.mark.parametrize("h, lam", [
@@ -151,7 +162,7 @@ def test_start_bounds_never_exceed_the_value(g, i):
     h = _POOL[i]
     p = lexicographic(g, h)
     assume(p.graph.n <= 32)
-    packing, _ = _packing_bound(g, h, 0, _Counter(None, "gamma_r", 0))
+    packing, _ = _packing_bound(g, _table(h), _Counter(None, "gamma_r", 0))
     bound = max(packing, _programme(g, h))
     assert bound <= solve("gamma_r", p, _BLIND).value
     if p.graph.n <= 12:
@@ -168,11 +179,9 @@ _RAISED = (gen.empty(3), gen.empty(4), gen.cycle(6), gen.complete_bipartite(3, 3
 def test_raised_demand_agrees_with_blind_search(g, i):
     h = _RAISED[i]
     p = lexicographic(g, h)
-    assume(_supports(g) and p.graph.n <= 32)
-    # the search raises the demand only where the start bound searched lambda
-    known = max(solve("gamma_r", g).value, solve("gamma_t", g).value)
-    _, demand = _packing_bound(g, h, known, _Counter(None, "gamma_r", 0))
-    assume(max(demand) > 2)
+    # the search raises the demand to lambda(H) on each support of degree
+    # at least 2, so above 2 where G has one and lambda(H) > 2
+    assume(_supports(g) and _lam(h) > 2 and p.graph.n <= 32)
     res = solve("gamma_r", p)
     blind = solve("gamma_r", p, _BLIND)
     assert (res.value, res.certificate) == (blind.value, blind.certificate)
@@ -209,17 +218,6 @@ def _gadget_table(h: Graph) -> set:
     return {(a, b) for a, b in pairs if not any((c, d) != (a, b) and c <= a and d <= b for c, d in pairs)}
 
 
-def _noncomplete_up_to_isomorphism(n: int) -> list[Graph]:
-    out = {}
-    for h in _graphs(n):
-        edges = [(u, v) for u in range(n) for v in _bits(h.adj[u]) if u < v]
-        key = min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
-                  for p in itertools.permutations(range(n)))
-        if not h.is_complete():
-            out.setdefault(key, h)
-    return list(out.values())
-
-
 def test_vertex_table_matches_brute_force_up_to_four_vertices():
     checked = 0
     for n in (2, 3, 4):
@@ -241,7 +239,7 @@ def test_raised_start_agrees_with_blind_search(g, i):
     p = lexicographic(g, h)
     assume(p.graph.n <= 32)
     known = max(solve("gamma_r", g).value, solve("gamma_t", g).value)
-    packing, _ = _packing_bound(g, h, known, _Counter(None, "gamma_r", 0))
+    packing = max(known, _packing_bound(g, _table(h), _Counter(None, "gamma_r", 0))[0])
     assume(packing < 2 * solve("gamma_t", g).value and _programme(g, h, packing) > packing)
     res = solve("gamma_r", p)
     blind = solve("gamma_r", p, _BLIND)
