@@ -24,31 +24,33 @@ dominating function with V2 empty, so ``gamma_s`` runs the ``gamma_r``
 search with V2 held empty, its size rising from ceil(n / (Delta + 1)), as
 the set dominates.  When the input is a lexicographic product with a
 noncomplete second factor, the ``gamma_r`` weight starts at the
-product lower bound max(gamma_r(G), gamma_t(G), P, C).  This is the
-``lex_lower_max`` claim with its term 2 rho(G) raised to P,
-the heaviest 2-packing of G in which a support vertex of degree at least
-2 weighs lambda(H) and every other vertex weighs 2.  C is the copy-weight
+product lower bound max(gamma_t(G), P, C).  C is the copy-weight
 programme: the least total of copy weights w on V(G) such that each
 vertex x meets an entry (a, b) of the vertex table M(H) with w_x >= a and
 w(N_G(x)) >= b.  M(H) lists the least weight a on a copy that keeps it
 dominated and defended when its neighbour copies hold b = 2, 1 or 0
 legions: 0, the least |S| with H - N[S] a clique, and gamma_r(H).  It is
-built once per piece.  lambda(H), the least weight on P3 o H that
-dominates and defends the copies of a leaf and its support, is the same
-programme on P3 with only the leaf and the support constrained, so it is
-read off M(H) with no search.  A counted branch and bound solves the
-programme on G, and only when P leaves a gap below the upper bound
-2 gamma_t(G); on a cycle it reaches n where the other terms stop near
-2n / 3.  The weights below the start are never
-searched.  :func:`_gamma_r_connected` proves the bound, and
-``tests/test_support_bound.py`` checks it.  A greedy lookahead prunes a
-placement once the legions left cannot bring each closed copy
-neighbourhood still open to its demand.  The demand is weight 2, which
-every weak Roman dominating function puts there (the ``copy_lemma``
-claim), raised to lambda(H) on the copies of N_G[s] for each support s
-of degree at least 2: the weights P was taken under, by the same proof.  The lookahead prunes if
-either of two greedy bounds exceeds the legions left: demand 2 in index
-order, or the raised demand with the support neighbourhoods first.
+built once per piece.  P is the heaviest 2-packing of G in which a
+support vertex of degree at least 2 weighs lambda(H) and every other
+vertex weighs 2.  lambda(H), the least weight on P3 o H that dominates
+and defends the copies of a leaf and its support, is the same programme
+on P3 with only the leaf and the support constrained, so it is read off
+M(H) with no search.  C alone is at least gamma_r(G), gamma_t(G) and P,
+so the start raises every term of the ``lex_lower_max`` claim
+max(gamma_r(G), gamma_t(G), 2 rho(G)).  gamma_t(G) and P only pick the
+programme's first weight, and skip it when they reach the upper bound
+2 gamma_t(G).  A counted branch and bound solves the programme on G; on a
+cycle it reaches n where the other terms stop near 2n / 3.  The weights
+below the start are never searched.  :func:`_gamma_r_connected` proves
+the bound, and ``tests/test_support_bound.py`` checks it.  A greedy
+lookahead prunes a placement once the legions left cannot bring each
+closed copy neighbourhood still open to its demand.  The demand is weight
+2, which every weak Roman dominating function puts there (the
+``copy_lemma`` claim), raised to lambda(H) on the copies of N_G[s] for
+each support s of degree at least 2: the weights P was taken under, by
+the same proof.  The lookahead prunes if either of two greedy bounds exceeds the legions
+left: demand 2 in index order, or the raised demand with the support
+neighbourhoods first.
 
 Defence checkpoints.  The weak Roman search places legions in flat index
 order and checks a vertex's defence twice before the leaf: once its last
@@ -278,15 +280,20 @@ PREDICATES = {
 }
 
 
+def _rest_is_clique(h: Graph, covered: int) -> bool:
+    """Whether the vertices of H outside the mask ``covered`` induce a
+    clique (the empty set counts)."""
+    rest = ((1 << h.n) - 1) & ~covered
+    return all(rest & ~h.closed[v] == 0 for v in _bits(rest))
+
+
 def satisfies_property_p(h: Graph, a: int) -> bool:
     """True iff the subgraph induced by V(H) minus N[a] is a clique (the
-    empty set counts)."""
+    empty set counts).  Some vertex of a noncomplete H has property P
+    exactly when a1 = 1 in its vertex table M(H) (:func:`_vertex_table`),
+    the condition of the ``kn_lex`` claim."""
     h._check_vertex(a)
-    rest = ((1 << h.n) - 1) & ~h.closed[a]
-    for v in _bits(rest):
-        if (rest & ~(1 << v)) & ~h.adj[v]:
-            return False
-    return True
+    return _rest_is_clique(h, h.closed[a])
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +308,13 @@ class SolverConfig:
     ``shards`` is accepted and validated but has no effect: every search is
     one sequential generator.  ``max_weight`` caps the weight of ``gamma_r``
     and ``gamma_R``, summed over the components.  ``product_pruning``
-    enables, on lexicographic products, the product lower bound (with the
-    copy-weight programme over the vertex table of H, and the
-    support-gadget packing term with lambda(H) read off that table), the
-    closed-copy-weight lookahead (weight 2, or lambda(H) on a support's
-    copy neighbourhood) and the per-copy Aut(H) cut; switching it off forces the structure-blind search
-    (used when the claims that justify those prunes are themselves under
-    test).
+    enables, on lexicographic products, the product lower bound
+    max(gamma_t(G), P, C) (C the copy-weight programme over the vertex
+    table of H, P the support-gadget packing term with lambda(H) read off
+    that table), the closed-copy-weight lookahead (weight 2, or lambda(H)
+    on a support's copy neighbourhood) and the per-copy Aut(H) cut;
+    switching it off forces the structure-blind search (used when the
+    claims that justify those prunes are themselves under test).
     """
 
     shards: int = 1
@@ -1011,9 +1018,10 @@ def _gamma_r_connected(search: _WrdfSearch, counter: _Counter, cap: int | None) 
     product V2 = {(u, 0) : u in a minimum total dominating set of G}
     (2 gamma_t(G)).  Until the gamma_t(G) search, the first on a product,
     is done, the witness is V2 = {(u, 0) : u in V(G)}, as V(G) totally
-    dominates a connected G on at least 2 vertices.  The searches for
-    bounds after it leave the witness and ``counter.lower`` as they were
-    (:func:`_aside`).
+    dominates a connected G on at least 2 vertices.  That search leaves
+    ``counter.lower`` at gamma_t(G).  The M(H) search after it keeps the
+    witness and ``counter.lower`` as they were (:func:`_aside`), and the
+    programme raises ``counter.lower`` only to weights it has ruled out.
 
     Searched without factors, the lower bound is gamma(G), and V2 holds at
     most t - gamma(G) vertices at weight t: every V0 vertex has a defender
@@ -1023,8 +1031,8 @@ def _gamma_r_connected(search: _WrdfSearch, counter: _Counter, cap: int | None) 
     gamma(G), so the optima stream under the same cap.
 
     On a product G o H searched with its factors (H not complete, so
-    n_h >= 2) the lower bound is max(gamma_r(G), gamma_t(G), P, C), by two
-    facts about every weak Roman dominating function f:
+    n_h >= 2) the lower bound is max(gamma_t(G), P, C), by two facts about
+    every weak Roman dominating function f:
 
     * Copy u and all its neighbours lie in the copies of N_G[u].  With no
       legion there copy u is undominated.  With one, take nonadjacent a, b
@@ -1059,12 +1067,36 @@ def _gamma_r_connected(search: _WrdfSearch, counter: _Counter, cap: int | None) 
     Conversely, copy weights that meet it come from functions on copies l
     and s that realise the entries they meet, with w_o legions on the
     outer copy: every defending move lands a legion in copy l or copy s,
-    which is adjacent to all of the other, so both stay dominated.
+    which is adjacent to all of the other, so both stay dominated.  Every
+    point holds for every weak Roman dominating function, not just the
+    optima, so the search's lookahead demands the same vertex weights of
+    each closed copy neighbourhood (``search.demand``).
 
-    C is searched only when P leaves a gap below 2 gamma_t(G).  Every point
-    holds for every weak Roman dominating function, not just the optima, so
-    the search's lookahead demands the same vertex weights of each closed
-    copy neighbourhood (``search.demand``)."""
+    C is searched only when max(gamma_t(G), P) leaves a gap below
+    2 gamma_t(G); gamma_t(G) and P pick its first weight.  C alone is at
+    least gamma_r(G), gamma_t(G) and P, the terms of the ``lex_lower_max``
+    claim with 2 rho(G) raised to P.  Take copy weights w that meet M(H)
+    at every vertex; H is noncomplete, so a1 >= 1 and a0 = gamma_r(H) >= 2,
+    and G is connected with n >= 2.  A zero of w meets only the entry
+    (0, 2), so its neighbours carry weight at least 2.
+
+    * C >= gamma_r(G): f = min(w, 2) weighs at most sum w, and each zero v
+      of f still has neighbour weight at least 2.  Let a legion move to v
+      from a positive neighbour u.  If u is emptied, it lies next to v;
+      every other zero loses at most 1 around it, so keeps a positive
+      neighbour.  So f is a weak Roman dominating function of G.
+    * C >= gamma_t(G): let S be the positive set of w.  Each zero has a
+      neighbour in S.  A vertex of S with no neighbour in S meets only
+      (a0, 0), so it carries at least 2; add one neighbour of each such
+      vertex to S.  That totally dominates G with at most sum w vertices.
+    * C >= P: the closed neighbourhoods of a 2-packing are disjoint.  Each
+      carries at least 2, as a + b >= 2 for every entry of M(H).  That of
+      a support s of degree >= 2 with a leaf l carries at least lambda(H):
+      w_l, w_s and w on the rest of N_G(s) meet the P3 programme above.
+
+    So the start is what a gamma_r(G) term would make it: where the
+    programme runs it is at least C >= gamma_r(G), and where it does not
+    it is 2 gamma_t(G) >= 2 gamma(G) >= gamma_r(G)."""
     g = search.g
     factor = search.factor
     if factor is not None:
@@ -1073,13 +1105,10 @@ def _gamma_r_connected(search: _WrdfSearch, counter: _Counter, cap: int | None) 
         counter.witness = (g, LegionFunction(g.n, 0, _lift((1 << factor.n) - 1, copy0)))
         gt, tds = _solve_min_set(factor, "gamma_t", counter)
         counter.witness = (g, LegionFunction(g.n, 0, _lift(tds, copy0)))
-        gr = _aside(counter, lambda: _gamma_r_connected(_WrdfSearch(factor), counter, None)[0])
-        counter.lower = max(gr, gt)
         table = _aside(counter, lambda: _vertex_table(h, counter))
         packing, search.demand = _packing_bound(factor, table, counter)
-        lo, hi = max(counter.lower, packing), 2 * gt
+        lo, hi = max(gt, packing), 2 * gt
         if lo < hi:
-            counter.lower = lo
             lo = _copy_programme(factor, table, lo, hi, counter)
     else:
         search.gamma, dom = _solve_min_set(g, "gamma", counter)
@@ -1126,8 +1155,7 @@ def _vertex_table(h: Graph, counter: _Counter) -> tuple[tuple[int, int], ...]:
 
     def clique_left(s: tuple[int, ...]) -> bool:
         counter.tick()
-        rest = ((1 << h.n) - 1) & ~functools.reduce(operator.or_, s)
-        return all(rest & ~h.closed[v] == 0 for v in _bits(rest))
+        return _rest_is_clique(h, functools.reduce(operator.or_, s))
 
     # S = V(H) leaves nothing, so some size up to n_h serves
     a1 = next(k for k in range(1, h.n + 1) if any(map(clique_left, itertools.combinations(h.closed, k))))

@@ -8,10 +8,12 @@ least 2 weighs lambda(H) and every other vertex weighs 2.  The vertex table
 M(H) lists the minimal (a, b) such that a function on P2 o H with weight a
 on copy 0 and b legions (capped at 2) on copy 1 keeps copy 0 dominated and
 defended, and the copy-weight programme is the least total of copy weights
-that meet M(H) at every vertex of G.  These tests check lambda and M(H)
-against brute force, check that every optimum puts at least lambda(H) on
-the copies of a support's closed neighbourhood, and check that neither
-bound exceeds the value.
+that meet M(H) at every vertex of G.  The solver starts at max(gamma_t(G),
+packing bound, programme).  These tests check lambda and M(H) against brute
+force, check that every optimum puts at least lambda(H) on the copies of a
+support's closed neighbourhood, check that neither bound exceeds the value,
+and check that the programme alone is at least gamma_r(G), gamma_t(G) and
+the packing bound, so the start needs no gamma_r(G) search.
 """
 
 import functools
@@ -158,15 +160,17 @@ def test_every_optimum_puts_lambda_on_each_support(g, i):
 @_SETTINGS
 @given(_connected(8), st.sampled_from(range(len(_POOL))))
 def test_start_bounds_never_exceed_the_value(g, i):
-    # the support-gadget packing bound and the copy-weight programme
+    # the support-gadget packing bound and the copy-weight programme, which
+    # alone reaches the packing bound and the factor's gamma_r and gamma_t
     h = _POOL[i]
     p = lexicographic(g, h)
     assume(p.graph.n <= 32)
     packing, _ = _packing_bound(g, _table(h), _Counter(None, "gamma_r", 0))
-    bound = max(packing, _programme(g, h))
-    assert bound <= solve("gamma_r", p, _BLIND).value
+    programme = _programme(g, h)
+    assert programme >= max(packing, solve("gamma_r", g).value, solve("gamma_t", g).value)
+    assert programme <= solve("gamma_r", p, _BLIND).value
     if p.graph.n <= 12:
-        assert bound <= oracle("gamma_r", p)
+        assert programme <= oracle("gamma_r", p)
 
 
 # lambda 3, 4, 3 and 3: the H whose support neighbourhoods the search asks
@@ -238,9 +242,10 @@ def test_raised_start_agrees_with_blind_search(g, i):
     h = _DEEP[i]
     p = lexicographic(g, h)
     assume(p.graph.n <= 32)
-    known = max(solve("gamma_r", g).value, solve("gamma_t", g).value)
-    packing = max(known, _packing_bound(g, _table(h), _Counter(None, "gamma_r", 0))[0])
-    assume(packing < 2 * solve("gamma_t", g).value and _programme(g, h, packing) > packing)
+    # the programme runs from the solver's seed max(gamma_t(G), packing bound)
+    total = solve("gamma_t", g).value
+    seed = max(total, _packing_bound(g, _table(h), _Counter(None, "gamma_r", 0))[0])
+    assume(seed < 2 * total and _programme(g, h, seed) > seed)
     res = solve("gamma_r", p)
     blind = solve("gamma_r", p, _BLIND)
     assert (res.value, res.certificate) == (blind.value, blind.certificate)
