@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 
 from .generators import FAMILIES, FamilySpec, generate, random_connected
@@ -36,12 +37,21 @@ from .solvers import (
     oracle,
     solve,
 )
-from .theorems import get_claim, summary_table, verify_all, verify_claim
+from .theorems import PARAMETERS, get_claim, resolve_graph, summary_table, verify_all, verify_claim
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VIOLATED = 4
+
+_PARAMETER_HELP = {
+    "g": "graph spec, e.g. path:7 or lex(path:2,path:10)",
+    "h": "second graph spec",
+    "sizes": "comma-separated block sizes (hk)",
+    "cycle": "comma-separated Hamiltonian cycle witness",
+    "triple": "comma-separated induced 3-path",
+    "quad": "comma-separated induced 4-path",
+}
 
 
 def _read_graph(path: str | None, stdin) -> Graph:
@@ -60,13 +70,14 @@ def _config(args) -> SolverConfig:
 
 
 def _cmd_generate(args, stdout, stdin) -> int:
-    if args.family == "random":
-        if len(args.params) != 2:
-            raise GraphError("random needs: n p [--seed S]")
-        g = random_connected(int(args.params[0]), float(args.params[1]), args.seed)
-    else:
-        params = tuple(int(p) for p in args.params)
-        g = generate(FamilySpec(args.family, params))
+    is_random = args.family == "random"
+    if is_random and len(args.params) != 2:
+        raise GraphError("random needs: n p [--seed S]")
+    try:
+        params = tuple(float(p) if is_random and i == 1 else int(p) for i, p in enumerate(args.params))
+    except ValueError:
+        raise GraphError(f"{args.family} parameters must be numbers, got {' '.join(args.params)}") from None
+    g = random_connected(*params, args.seed) if is_random else generate(FamilySpec(args.family, params))
     stdout.write(format_edge_list(g))
     return EXIT_OK
 
@@ -132,38 +143,14 @@ def _cmd_info(args, stdout, stdin) -> int:
 
 
 def _parse_instance(args) -> dict:
-    instance: dict = {}
-    if args.g is not None:
-        instance["g"] = args.g
-    if args.h is not None:
-        instance["h"] = args.h
-    if args.n is not None:
-        instance["n"] = args.n
-    if args.m is not None:
-        instance["m"] = args.m
-    if args.r is not None:
-        instance["r"] = args.r
-    if args.s is not None:
-        instance["s"] = args.s
-    if args.k is not None:
-        instance["k"] = args.k
-    if args.sizes:
-        instance["sizes"] = tuple(int(x) for x in args.sizes.split(","))
-    if args.cycle:
-        instance["cycle"] = tuple(int(x) for x in args.cycle.split(","))
-    if args.triple:
-        instance["triple"] = tuple(int(x) for x in args.triple.split(","))
-    if args.quad:
-        instance["quad"] = tuple(int(x) for x in args.quad.split(","))
-    return instance
+    return {key: getattr(args, key) for key in PARAMETERS if getattr(args, key) is not None}
 
 
 def _parse_sweep(spec: str) -> tuple[str, range]:
-    key, _, span = spec.partition("=")
-    lo, _, hi = span.partition("..")
-    if not key or not lo or not hi:
+    match = re.fullmatch(r"(\w+)=(-?\d+)\.\.(-?\d+)", spec.strip())
+    if match is None:
         raise GraphError("sweep spec must look like n=4..14")
-    return key, range(int(lo), int(hi) + 1)
+    return match[1], range(int(match[2]), int(match[3]) + 1)
 
 
 def _cmd_verify(args, stdout, stdin) -> int:
@@ -295,17 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", nargs="?", help="claim id (see --all for the registry)")
     p.add_argument("--all", action="store_true", help="run every claim on its default instances")
     p.add_argument("--max-n", dest="max_n", type=int, default=None, help="size cap for --all")
-    p.add_argument("--g", help="graph spec, e.g. path:7 or lex(path:2,path:10)")
-    p.add_argument("--h", help="second graph spec")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--sizes", help="comma-separated block sizes (hk)")
-    p.add_argument("--cycle", help="comma-separated Hamiltonian cycle witness")
-    p.add_argument("--triple", help="comma-separated induced 3-path")
-    p.add_argument("--quad", help="comma-separated induced 4-path")
+    for key, parse in PARAMETERS.items():
+        # graph specs stay text: the report's instance string shows them as given
+        p.add_argument(f"--{key}", type=None if parse is resolve_graph else parse, help=_PARAMETER_HELP.get(key))
     p.add_argument("--sweep", help="range over one integer key, e.g. n=4..14")
     p.add_argument("--strict", action="store_true", help="exit 4 on any violation")
     p.add_argument("--shards", type=int, default=1, help="accepted for compatibility; has no effect")

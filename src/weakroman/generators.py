@@ -223,6 +223,9 @@ def generate(spec: FamilySpec) -> Graph:
     fn = _DISPATCH.get(spec.family)
     if fn is None:
         raise GraphError(f"unknown family {spec.family!r} (expected one of {', '.join(FAMILIES)})")
+    arity = fn.__code__.co_argcount
+    if len(spec.params) != arity:
+        raise GraphError(f"{spec.family} takes {arity} parameter(s), got {len(spec.params)}")
     return fn(*spec.params)
 
 

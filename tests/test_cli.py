@@ -148,12 +148,55 @@ def test_verify_strict_exit_4():
     (["cycle_lex", "--n", "5", "--h", "empty:4", "--budget", "20"], 3,
      '{"schema": "1", "claim": "cycle_lex", "instance": "h=empty:4 n=5", "verdict": "budget-exceeded", '
      '"details": {"lower": 3, "upper": 6, "invariant": "gamma_r"}}'),
-], ids=["holds", "inapplicable", "budget-exceeded"])
+    # hypotheses that fail on solved values report those values after the reason
+    (["eq_2gt", "--g", "path:5", "--h", "empty:4"], 0,
+     '{"schema": "1", "claim": "eq_2gt", "instance": "g=path:5 h=empty:4", "verdict": "inapplicable", '
+     '"details": {"reason": "hypothesis 2*gamma_t == max(gamma_r, 2*rho) fails", "gamma_t": 3, "gamma_r": 3, '
+     '"rho": 2}}'),
+    (["eq_g2t", "--g", "cycle:6", "--h", "empty:2"], 0,
+     '{"schema": "1", "claim": "eq_g2t", "instance": "g=cycle:6 h=empty:2", "verdict": "inapplicable", '
+     '"details": {"reason": "hypothesis gamma_2t == max(gamma_r, 2*rho) fails", "gamma_2t": 6, "gamma_r": 3, '
+     '"rho": 2}}'),
+    (["weakroman_eq_2gamma", "--g", "path:5", "--h", "empty:2"], 0,
+     '{"schema": "1", "claim": "weakroman_eq_2gamma", "instance": "g=path:5 h=empty:2", "verdict": "inapplicable", '
+     '"details": {"reason": "first factor is not a weak Roman graph", "gamma": 2, "gamma_r": 3}}'),
+    (["strongsupport_tree", "--g", "path:5", "--h", "empty:2"], 0,
+     '{"schema": "1", "claim": "strongsupport_tree", "instance": "g=path:5 h=empty:2", "verdict": "inapplicable", '
+     '"details": {"reason": "minimum dominating set is not unique", "count": 3}}'),
+    (["star_leaf_4gamma", "--g", "path:5", "--h", "empty:4"], 0,
+     '{"schema": "1", "claim": "star_leaf_4gamma", "instance": "g=path:5 h=empty:4", "verdict": "inapplicable", '
+     '"details": {"reason": "needs gamma_t == 2*gamma", "gamma": 2, "gamma_t": 3}}'),
+], ids=["holds", "inapplicable", "budget-exceeded", "eq_2gt-facts", "eq_g2t-facts", "weakroman-facts",
+        "strongsupport-facts", "star_leaf-facts"])
 def test_verify_json_bytes(args, code, text):
     # verify --json keeps the report's key order; only the timing varies
     got_code, out, _ = cli(["verify", *args, "--json"])
     assert got_code == code
     assert re.sub(r', "millis": [0-9.]+', "", out) == text + "\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "path"],
+    ["generate", "path", "x"],
+    ["generate", "path", "2", "3"],
+    ["generate", "comb", "3.5"],
+    ["generate", "fig6_spider", "3"],
+    ["generate", "random", "5", "x"],
+    ["verify", "chain"],
+    ["verify", "kn_lex", "--n", "3"],
+    ["verify", "chain", "--g", "path:x"],
+    ["verify", "chain", "--g", "path:2,3"],
+    ["verify", "chain", "--g", "fig6_spider:3"],
+    ["verify", "chain", "--g", "edges:3:0-1,1"],
+    ["verify", "hamiltonian_bound", "--g", "cycle:5", "--cycle", "0,1,x"],
+    ["verify", "hk_value", "--k", "3", "--sizes", "1,x", "--h", "path:3"],
+    ["verify", "path_cycle_formula", "--sweep", "n=4..x"],
+], ids=lambda args: " ".join(args))
+def test_malformed_parameters_exit_2(args):
+    # a missing or malformed family or claim parameter is an input error
+    code, out, err = cli(args)
+    assert code == 2 and out == ""
+    assert "error: " in err and "Traceback" not in err
 
 
 def test_verify_sweep():

@@ -1,5 +1,6 @@
 """Claim registry: formulas, structure finders, the reduction, verdicts."""
 
+import inspect
 import json
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from weakroman import (
 )
 from weakroman import generators as gen
 from weakroman.solvers import SolverConfig
+from weakroman.theorems import PARAMETERS
 
 
 def test_closed_formula_values():
@@ -115,6 +117,32 @@ def test_registry_covers_spec_claims():
         assert claim.kind in ("formula", "inequality", "equivalence", "existence", "reduction")
 
 
+def test_claim_params_follow_the_parameter_table():
+    for claim in REGISTRY:
+        assert isinstance(claim.params, tuple) and set(claim.params) <= set(PARAMETERS)
+        for instance in claim.defaults:
+            assert set(claim.params) <= set(instance), (claim.id, instance)
+        assert list(inspect.signature(claim.runner).parameters) == ["cfg", *claim.params], claim.id
+
+
+@pytest.mark.parametrize("claim_id, instance", [
+    ("chain", {}),
+    ("kn_lex", {"n": 3}),
+    ("chain", {"g": "path:x"}),
+    ("chain", {"g": "path:2,3"}),
+    ("hk_value", {"k": 3, "sizes": "1,x", "h": "path:3"}),
+    ("p3_lemma", {"g": "path:5", "triple": 7, "h": "empty:4"}),
+])
+def test_verify_claim_rejects_missing_or_malformed_parameters(claim_id, instance):
+    with pytest.raises(GraphError):
+        verify_claim(claim_id, instance)
+
+
+def test_tuple_parameters_take_text_or_sequences():
+    assert verify_claim("hk_value", {"k": 3, "sizes": "1,1,1", "h": "path:3"}).verdict == "holds"
+    assert verify_claim("hk_value", {"k": "3", "sizes": ["1", 1, 1], "h": "path:3"}).verdict == "holds"
+
+
 def test_verify_claim_holds_and_inapplicable():
     rep = verify_claim("path_cycle_formula", {"n": 7})
     assert rep.verdict == "holds"
@@ -129,6 +157,26 @@ def test_verify_claim_holds_and_inapplicable():
 def test_verify_claim_budget():
     rep = verify_claim("cycle_lex", {"n": 5, "h": "empty:4"}, SolverConfig(node_budget=50))
     assert rep.verdict == "budget-exceeded"
+
+
+@pytest.mark.parametrize("claim_id, instance, budget, invariant, lower, upper", [
+    ("eq_2gt", {"g": "path:5", "h": "empty:4"}, 1, "gamma_t", 3, 5),
+    ("eq_2gt", {"g": "path:5", "h": "empty:4"}, 6, "gamma_r", 2, 4),
+    ("eq_g2t", {"g": "cycle:6", "h": "empty:2"}, 1, "gamma_2t", 6, 6),
+    ("eq_g2t", {"g": "cycle:6", "h": "empty:2"}, 7, "gamma_r", 2, 4),
+    ("weakroman_eq_2gamma", {"g": "corona(path:2,empty:2)", "h": "empty:2"}, 1, "gamma", 2, 6),
+    ("weakroman_eq_2gamma", {"g": "corona(path:2,empty:2)", "h": "empty:2"}, 3, "gamma_r", 2, 4),
+    ("strongsupport_tree", {"g": "path:3", "h": "empty:2"}, 1, "gamma", 1, 3),
+    ("strongsupport_tree", {"g": "path:3", "h": "empty:2"}, 4, "gamma_r", 2, 3),
+    ("star_leaf_4gamma", {"g": "star:3", "h": "empty:4"}, 1, "gamma", 4, 4),
+    ("star_leaf_4gamma", {"g": "star:3", "h": "empty:4"}, 8, "gamma_r", 2, 4),
+])
+def test_budget_report_names_the_solve_that_ran_out(claim_id, instance, budget, invariant, lower, upper):
+    # the facts of a claim are solved in a fixed order, so a small budget
+    # always runs out in the same solve
+    rep = verify_claim(claim_id, instance, SolverConfig(node_budget=budget))
+    assert rep.verdict == "budget-exceeded"
+    assert rep.details == {"lower": lower, "upper": upper, "invariant": invariant}
 
 
 def test_star_leaf_claim_finishes_within_budget():
