@@ -168,11 +168,13 @@ def _cmd_verify(args, stdout, stdin) -> int:
         return EXIT_VIOLATED if args.strict and violated else EXIT_OK
     if not args.claim:
         raise GraphError("verify needs a claim id or --all")
-    get_claim(args.claim)  # fail fast on unknown ids
+    claim = get_claim(args.claim)  # fail fast on unknown ids
     base = _parse_instance(args)
     instances = [base]
     if args.sweep:
         key, values = _parse_sweep(args.sweep)
+        if key not in claim.params:
+            raise GraphError(f"claim {claim.id} takes no parameter {key} to sweep")
         instances = [{**base, key: v} for v in values]
     reports = [verify_claim(args.claim, inst, cfg) for inst in instances]
     if args.json:

@@ -53,11 +53,10 @@ left: demand 2 in index order, or the raised demand with the support
 neighbourhoods first.
 
 Defence checkpoints.  The weak Roman search places legions in flat index
-order and checks a vertex's defence twice before the leaf: once its last
-possible defender is decided, and again once its whole two-step
-neighbourhood is.  Two prefix masks per index (the due masks) give the
-vertices whose check falls due up to that index, so a step from index d to
-e checks all of them at once as one mask.  One bitmask kernel,
+order and checks a vertex's defence once before the leaf: when its last
+possible defender is decided.  One prefix mask per index (the due mask)
+gives the vertices whose check falls due below that index, so a step from
+index d to e checks all of them at once as one mask.  One bitmask kernel,
 :func:`_undefended`, runs those checks and the leaf test; it returns the
 undefended vertices, and memoises the meet of the closed neighbourhoods
 that each breakable mask asks a mover to reach.
@@ -725,14 +724,14 @@ class _WrdfSearch:
     weight, in canonical (sorted V2, sorted V1) order.
 
     The search carries how many flat indices it has checked.  Placing a
-    legion at index e checks, through :func:`_undefended`, every vertex whose
-    first or second defence threshold lies in the indices not yet checked
-    (``due1``/``due2`` hold them as prefix masks), and runs the per-copy
-    Aut(H) cut of e's copy if e is its last index.  Every check is a
-    function of the placement alone, so checking a window at once prunes
-    exactly what one check at a time would.  The tables, the Aut(H) leader
-    memo and the kernel's memo (``common``) depend on the graph alone, so
-    they are built once and serve every call of :meth:`at_weight`.
+    legion at index e checks, through :func:`_undefended`, every vertex
+    whose closed neighbourhood ends among the indices not yet checked
+    (``due`` holds them as prefix masks), and runs the per-copy Aut(H) cut
+    of e's copy if e is its last index.  Every check is a function of the
+    placement alone, so checking a window at once prunes exactly what one
+    check at a time would.  The tables, the Aut(H) leader memo and the
+    kernel's memo (``common``) depend on the graph alone, so they are built
+    once and serve every call of :meth:`at_weight`.
 
     Each node first computes its horizon: the index from which every
     placement must fail, because a vertex still uncovered has no coverer
@@ -765,24 +764,15 @@ class _WrdfSearch:
         self.leaders: dict[int, bool] = {}  # copy pattern (V2 << n_h | V1) -> _copy_is_leader
         self.common: dict[int, int] = {}  # the memo of _undefended
         # A vertex's defence is checked once its defenders are decided
-        # (sound but optimistic about undecided victims) and again once its
-        # whole two-step context is decided: due1[k] / due2[k] hold the
-        # vertices whose first / second threshold lies below flat index k,
-        # so due1[k] is also the set with no coverer at index k or above.
-        due1 = [0] * (n + 1)
-        due2 = [0] * (n + 1)
+        # (sound but optimistic about undecided victims): due[k] holds the
+        # vertices whose closed neighbourhood lies below flat index k, so
+        # due[k] is also the set with no coverer at index k or above.
+        due = [0] * (n + 1)
         for v in range(n):
-            reach = g.closed[v]
-            ctx2 = reach
-            for w in _bits(reach):
-                ctx2 |= g.closed[w]
-            due1[reach.bit_length()] |= 1 << v
-            due2[ctx2.bit_length()] |= 1 << v
+            due[g.closed[v].bit_length()] |= 1 << v
         for k in range(n):
-            due1[k + 1] |= due1[k]
-            due2[k + 1] |= due2[k]
-        self.due1 = tuple(due1)
-        self.due2 = tuple(due2)
+            due[k + 1] |= due[k]
+        self.due = tuple(due)
         # the closed copy neighbourhoods whose weight a legion at e adds to
         self.copy_nbhd = ((),) * n
         if factor is not None:
@@ -806,8 +796,7 @@ class _WrdfSearch:
         adj = g.adj
         closed = g.closed
         full = (1 << n) - 1
-        due1 = self.due1
-        due2 = self.due2
+        due = self.due
         twin = self.twin if symmetry else (0,) * n
         common = self.common
         copy_nbhd = self.copy_nbhd
@@ -861,35 +850,20 @@ class _WrdfSearch:
                     leader = leaders[pattern] = _copy_is_leader(p2, p1, h_auts)
                 return leader
 
-        def advance(start: int, e: int, m2: int, m1: int, cov1: int, cov2: int) -> bool:
-            """Whether the checkpoints due at flat indices start..e pass, with
-            legions left (the first ``start`` indices are checked already,
-            and the horizon has passed every copy that ends before e)."""
-            nxt = e + 1
-            if aut_cut and nxt % n_h == 0 and not is_leader(e // n_h, m2, m1):
-                return False
-            check = (due1[nxt] & ~due1[start]) | (due2[nxt] & ~due2[start])
-            if check & ~(m2 | m1):
-                # vertices whose unique cover is certain never to change:
-                # those with no coverer above e (due1)
-                breakable = cov1 & ~cov2 & due1[nxt]
-                return not _undefended(adj, closed, check, m2, m1, breakable, common)
-            return True
-
         def dfs_v1(start: int, m2: int, m1: int, slots: int, cov1: int, cov2: int):
             counter.tick()
             if slots == 0:
                 if _defended(g, m2, m1, cov1, cov2, common):
                     yield m2, m1
                 return
-            # the horizon: the least k with an uncovered vertex in due1[k],
-            # which has no coverer from k on (due1[start] holds none, or
-            # advance would have failed) ...
+            # the horizon: the least k with an uncovered vertex in due[k],
+            # which has no coverer from k on (due[start] holds none, or the
+            # parent's check would have failed) ...
             uncov = full & ~cov1
             lo, lim = start, n
             while uncov and lim - lo > 1:
                 mid = (lo + lim) >> 1
-                if due1[mid] & uncov:
+                if due[mid] & uncov:
                     lim = mid
                 else:
                     lo = mid
@@ -917,11 +891,11 @@ class _WrdfSearch:
                     nxt = e + 1
                     if aut_cut and nxt % n_h == 0 and not is_leader(e // n_h, m2, m1b):
                         continue
-                    # every vertex is covered now; advance's defence check
-                    # is the leaf test masked by its window
+                    # every vertex is covered now; the window's defence
+                    # check is the leaf test masked by the window
                     c = closed[e]
                     bad = _undefended(adj, closed, full, m2, m1b, full & ~(cov2 | (cov1 & c)), common)
-                    if bad & ((due1[nxt] & ~due1[start]) | (due2[nxt] & ~due2[start])):
+                    if bad & due[nxt] & ~due[start]:
                         continue
                     counter.tick()
                     if not bad:
@@ -932,10 +906,16 @@ class _WrdfSearch:
                 if m2 & be or twin[e] & ~(m2 | m1):
                     continue
                 m1b = m1 | be
+                nxt = e + 1
+                if aut_cut and nxt % n_h == 0 and not is_leader(e // n_h, m2, m1b):
+                    continue
                 c = closed[e]
                 nc2 = cov2 | (cov1 & c)
                 nc1 = cov1 | c
-                if not advance(start, e, m2, m1b, nc1, nc2):
+                # the window's defence check; a unique cover with no coverer
+                # above e can never change
+                check = due[nxt] & ~due[start] & ~(m2 | m1b)
+                if check and _undefended(adj, closed, check, m2, m1b, nc1 & ~nc2 & due[nxt], common):
                     continue
                 for x in copy_nbhd[e]:
                     w[x] += 1

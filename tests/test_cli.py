@@ -205,6 +205,12 @@ def test_verify_sweep():
     assert out.count("verdict=holds") == 5
 
 
+def test_verify_sweep_over_a_key_the_claim_does_not_take():
+    code, out, err = cli(["verify", "chain", "--g", "path:3", "--sweep", "q=1..2"])
+    assert code == 2 and out == ""
+    assert err.count("error: ") == 1 and "Traceback" not in err
+
+
 def test_verify_unknown_claim():
     code, _, err = cli(["verify", "nosuch"])
     assert code == 2 and "unknown claim" in err

@@ -7,17 +7,21 @@ vertex, which is what lets the search fold its last checks into the leaf;
 and the gamma_r search with its symmetry cuts off must yield exactly the
 weak Roman dominating functions of each weight, also at the weights above
 the optimum, where the early defence checkpoints see placements that no
-optimum-only test reaches.
+optimum-only test reaches.  On a product piece that holds with the
+product cuts on: the horizon, the lookahead and its raised demand.
 """
 
 import itertools
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from weakroman import LegionFunction, is_dominating, is_secure_dominating, is_wrdf
+from weakroman import generators as gen
 from weakroman.graph import Graph, _bits
-from weakroman.solvers import _Counter, _defended, _undefended, _WrdfSearch
+from weakroman.products import lexicographic
+from weakroman.solvers import _Counter, _defended, _gamma_r_connected, _pieces, _undefended, _WrdfSearch
 
 _SETTINGS = settings(max_examples=60, derandomize=True, deadline=None, database=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -111,15 +115,22 @@ def test_kernel_returns_the_undefended_vertices(case):
         assert _undefended(g.adj, g.closed, check, f.v2_mask, f.v1_mask, cov1 & ~cov2, common) == bad & check
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_graphs())
-def test_search_yields_every_wrdf_of_each_weight(g):
+def _wrdfs_by_weight(g: Graph) -> dict[int, set]:
+    """The (V2, V1) masks of every weak Roman dominating function of weight
+    at most n, by weight, from the raw predicate."""
     by_weight: dict[int, set] = {}
     for values in itertools.product((0, 1, 2), repeat=g.n):
         f = LegionFunction.from_values(values)
         if f.weight <= g.n and is_wrdf(g, f):
             by_weight.setdefault(f.weight, set()).add((f.v2_mask, f.v1_mask))
+    return by_weight
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_graphs())
+def test_search_yields_every_wrdf_of_each_weight(g):
+    by_weight = _wrdfs_by_weight(g)
     search = _WrdfSearch(g)
     for t in range(g.n + 1):
         found = list(search.at_weight(t, _Counter(None, "gamma_r", g.n), symmetry=False))
@@ -127,3 +138,23 @@ def test_search_yields_every_wrdf_of_each_weight(g):
         # each function once, in canonical (sorted V2, sorted V1) order
         keys = [LegionFunction(g.n, m1, m2).key() for m2, m1 in found]
         assert keys == sorted(set(keys))
+
+
+@pytest.mark.parametrize("g, h, demand", [
+    (gen.path(2), gen.empty(2), 2), (gen.path(3), gen.empty(2), 2), (gen.cycle(3), gen.empty(2), 2),
+    (gen.star(3), gen.empty(2), 2), (gen.path(4), gen.empty(2), 2), (gen.path(2), gen.path(3), 2),
+    (gen.path(2), gen.empty(3), 2), (gen.path(2), gen.path(4), 2), (gen.path(3), gen.path(3), 2),
+    (gen.path(3), gen.empty(3), 3),
+], ids=["P2oempty2", "P3oempty2", "C3oempty2", "K13oempty2", "P4oempty2", "P2oP3", "P2oempty3", "P2oP4", "P3oP3",
+        "P3oempty3"])
+def test_product_search_yields_every_wrdf_of_each_weight(g, h, demand):
+    # the value search sets the lookahead's demand first, as a solve does
+    ((_, piece, factor, h_factor),) = _pieces(lexicographic(g, h), lex=True)
+    search = _WrdfSearch(piece, factor, h_factor)
+    value, _ = _gamma_r_connected(search, _Counter(None, "gamma_r", piece.n), None)
+    assert max(search.demand) == demand
+    by_weight = _wrdfs_by_weight(piece)
+    for t in range(value, piece.n + 1):
+        found = list(search.at_weight(t, _Counter(None, "gamma_r", piece.n), symmetry=False))
+        expected = sorted(by_weight.get(t, set()), key=lambda f: LegionFunction(piece.n, f[1], f[0]).key())
+        assert found == expected, f"weight {t}"
